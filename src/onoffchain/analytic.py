@@ -38,6 +38,7 @@ __all__ = [
     "InfiniteMeanError",
     "ComplexityError",
     "PrecisionError",
+    "ConvergenceError",
     "transform_of_input",
     "node_step",
     "chain_transform",
@@ -55,8 +56,10 @@ EULER_GAMMA = 0.57721566490153286
 EXP_EULER_GAMMA_STR = "1.7810724179901979852"
 EXP_EULER_GAMMA = float(EXP_EULER_GAMMA_STR)
 
-_SUBSET_CAP = 25          # 2**len terms; hard complexity guard
-_CHAIN_CAP = 25           # general-rate chains; equal rates collapse and are uncapped
+_TERM_CAP = 2 ** 25       # subset sums one exact chain evaluation may expand into
+_FLOAT_WEIGHT_CAP = 2 ** 12   # largest subset weight summed in float64
+_GUARD_BITS = 32
+_EMPIRICAL_BLOCK = 2 ** 16    # array elements per block of empirical samples
 _MEAN_H0 = 1e-3
 _MEAN_REL_TOL = 1e-8
 _MEAN_MAX_EVALS = 40
@@ -80,6 +83,10 @@ class ComplexityError(RuntimeError):
 
 class PrecisionError(ValueError):
     """Requested precision is below the cancellation floor."""
+
+
+class ConvergenceError(ArithmeticError):
+    """An extrapolation ran out of evaluations before it settled."""
 
 
 class LaplaceEval:
@@ -113,18 +120,33 @@ def transform_of_input(model: InputModel) -> LaplaceEval:
         raise PermanentInputError(
             "permanent input is the symbol [0], not an interval law; "
             "apply permanent_reduce to the configuration first")
+    law = _input_law(model)
+    if model.kind == EXPONENTIAL:
+        return LaplaceEval(law, "closed-form", f"exp({model.rate})")
+    if model.kind == DETERMINISTIC:
+        return LaplaceEval(law, "closed-form", f"det({model.duration})")
+    return LaplaceEval(law, "empirical", f"empirical(n={len(model.samples)})")
+
+
+def _input_law(model: InputModel):
+    """phi of a proper input law, on a float or elementwise on an array."""
     if model.kind == EXPONENTIAL:
         rho = model.rate
-        return LaplaceEval(lambda s: s / (rho + s), "closed-form", f"exp({rho})")
+        return lambda x: x / (rho + x)
     if model.kind == DETERMINISTIC:
         d = model.duration
-        return LaplaceEval(lambda s: -math.expm1(-s * d), "closed-form", f"det({d})")
+        return lambda x: -np.expm1(-d * x)
     samples = model.samples
 
-    def emp(s):
-        return float(np.mean(-np.expm1(-s * samples)))
+    def emp(x):
+        # sum over blocks of samples, so at most _EMPIRICAL_BLOCK terms are held
+        step = max(1, _EMPIRICAL_BLOCK // np.size(x))
+        acc = 0.0
+        for i in range(0, len(samples), step):
+            acc = acc - np.expm1(-np.multiply.outer(x, samples[i:i + step])).sum(axis=-1)
+        return acc / len(samples)
 
-    return LaplaceEval(emp, "empirical", f"empirical(n={len(samples)})")
+    return emp
 
 
 def node_step(phi: LaplaceEval, rate: float) -> LaplaceEval:
@@ -141,11 +163,16 @@ def node_step(phi: LaplaceEval, rate: float) -> LaplaceEval:
 def chain_transform(model: InputModel, rates) -> LaplaceEval:
     """Transform after the input passes a whole chain of rates.
 
-    ``rates`` is ordered from the entry node to the observed node.  The
-    result does not depend on the order.  Equal-rate chains collapse to a
-    binomial product and evaluate in linear time; general chains expand over
-    subset sums (memoized on repeated shifted arguments) and are capped at
-    length ``_CHAIN_CAP``.
+    ``rates`` is ordered from the entry node to the observed node; the
+    result does not depend on the order.  Folding ``node_step`` over the
+    chain gives ``log phi(s) = sum_S (-1)^|S| log phi_in(s + sum S)`` over
+    all subsets S of the rates.  Equal rates are grouped first: distinct
+    rates r_i with counts c_i leave prod(c_i + 1) distinct sums
+    sigma = sum j_i r_i, each with the exact integer weight
+    (-1)^(sum j_i) prod C(c_i, j_i).  The alternating sum cancels up to
+    log2(max |weight|) bits, so it runs in float64 while the largest weight
+    is at most 2**12 and otherwise in mpmath at ``len(rates) + 85`` bits.
+    Chains with more than ``_TERM_CAP`` sums are refused.
     """
     base = transform_of_input(model)
     rs = [float(r) for r in rates]
@@ -154,52 +181,74 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
             raise ValueError(f"recovery rates must be positive, got {r}")
     if not rs:
         return base
-    label = f"{base.label} -> chain({len(rs)})"
-    if all(r == rs[0] for r in rs):
-        fn = _equal_rate_chain(base, rs[0], len(rs))
-        return LaplaceEval(fn, "composite", label)
-    if len(rs) > _CHAIN_CAP:
+    values, counts = np.unique(rs, return_counts=True)
+    groups = [(float(r), int(c)) for r, c in zip(values, counts)]
+    terms = math.prod(c + 1 for _, c in groups)
+    if terms > _TERM_CAP:
         raise ComplexityError(
-            f"general-rate chains are capped at {_CHAIN_CAP} nodes "
-            f"(2**len distinct shifted arguments); got {len(rs)}")
-    fn = _general_chain(base, rs)
-    return LaplaceEval(fn, "composite", label)
+            f"chain transform needs {terms} subset sums; the cap is {_TERM_CAP}")
+    max_weight = math.prod(math.comb(c, c // 2) for _, c in groups)
+    if max_weight <= _FLOAT_WEIGHT_CAP:
+        fn = _float_chain(model, groups)
+    else:
+        fn = _mp_chain(model, groups, len(rs) + 53 + _GUARD_BITS)
+    return LaplaceEval(fn, "composite", f"{base.label} -> chain({len(rs)})")
 
 
-def _equal_rate_chain(base, rho: float, n: int):
-    # after n equal-rate nodes: log phi = sum_j (-1)^j C(n, j) log base(s + j rho)
-    coeffs = [math.comb(n, j) for j in range(n + 1)]
+def _signed_binomials(c: int) -> list[int]:
+    return [-math.comb(c, j) if j & 1 else math.comb(c, j) for j in range(c + 1)]
+
+
+def _float_chain(model: InputModel, groups):
+    sums = np.zeros(1)
+    weights = np.ones(1)
+    for r, c in groups:
+        sums = np.concatenate([sums + j * r for j in range(c + 1)])
+        weights = np.concatenate([weights * w for w in _signed_binomials(c)])
+    order = np.argsort(sums, kind="stable")
+    sums, weights = sums[order], weights[order]
+    phi_in = _input_law(model)
 
     def fn(s):
         if s == 0.0:
             return 0.0
-        total = math.fsum(
-            (-c if j & 1 else c) * math.log(base(s + j * rho))
-            for j, c in enumerate(coeffs))
-        return math.exp(total)
+        return math.exp(float(np.sum(weights * np.log(phi_in(s + sums)))))
 
     return fn
 
 
-def _general_chain(base, rs):
-    L = len(rs)
+def _mp_chain(model: InputModel, groups, bits: int):
+    with mpmath.workprec(bits):
+        sums = [mpmath.mpf(0)]
+        weights = [1]
+        for r, c in groups:
+            r = mpmath.mpf(r)
+            sums = [x + j * r for j in range(c + 1) for x in sums]
+            weights = [v * w for w in _signed_binomials(c) for v in weights]
+    table = sorted(zip(sums, weights))
+    phi_in = _input_mp(model)
 
     def fn(s):
-        memo: dict[tuple[int, float], float] = {}
-
-        def value(k: int, arg: float) -> float:
-            if k == 0:
-                return base(arg)
-            key = (k, arg)
-            v = memo.get(key)
-            if v is None:
-                v = value(k - 1, arg) / value(k - 1, arg + rs[k - 1])
-                memo[key] = v
-            return v
-
-        return value(L, s)
+        if s == 0.0:
+            return 0.0
+        with mpmath.workprec(bits):
+            x = mpmath.mpf(s)
+            total = mpmath.fsum(w * mpmath.log(phi_in(x + sigma)) for sigma, w in table)
+            return float(mpmath.exp(total))
 
     return fn
+
+
+def _input_mp(model: InputModel):
+    """The input law's transform at one mpmath argument."""
+    if model.kind == EXPONENTIAL:
+        rho = mpmath.mpf(model.rate)
+        return lambda x: x / (rho + x)
+    if model.kind == DETERMINISTIC:
+        d = mpmath.mpf(model.duration)
+        return lambda x: -mpmath.expm1(-d * x)
+    samples = [mpmath.mpf(float(v)) for v in model.samples]
+    return lambda x: -mpmath.fsum(mpmath.expm1(-x * v) for v in samples) / len(samples)
 
 
 def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
@@ -212,8 +261,8 @@ def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
     """
     rs = [float(r) for r in rates]
     L = len(rs)
-    if L > _SUBSET_CAP:
-        raise ComplexityError(f"subset expansion is capped at {_SUBSET_CAP} rates, got {L}")
+    if 2 ** L > _TERM_CAP:
+        raise ComplexityError(f"subset expansion needs 2**{L} terms; the cap is {_TERM_CAP}")
     if s < 0:
         raise ValueError("evaluate at s >= 0")
     if s == 0.0:
@@ -237,15 +286,15 @@ def mean_from_transform(phi: LaplaceEval, rel_tol: float = _MEAN_REL_TOL,
     """Mean of the interval law: the s -> 0+ limit of phi(s)/s.
 
     Uses Richardson extrapolation on a halving step, starting at 1e-3,
-    until two successive extrapolants agree to ``rel_tol`` or the evaluation
-    budget runs out (the last estimate is then returned).
+    until two successive extrapolants agree to ``rel_tol``.  Raises
+    ConvergenceError when ``max_evals`` evaluations do not get there.
     """
     if abs(phi(0.0)) > 1e-12:
         raise ImproperTransformError(f"phi(0) = {phi(0.0)}, expected 0")
     h = _MEAN_H0
     prev = None
     first = None
-    est = math.nan
+    est = delta = math.nan
     growth = 0
     evals = 0
     while evals < max_evals:
@@ -257,7 +306,8 @@ def mean_from_transform(phi: LaplaceEval, rel_tol: float = _MEAN_REL_TOL,
         r1b = 2 * a2 - a1
         est = (4 * r1b - r1a) / 3
         if prev is not None:
-            if abs(est - prev) <= rel_tol * max(abs(est), 1e-300):
+            delta = abs(est - prev)
+            if delta <= rel_tol * max(abs(est), 1e-300):
                 return est
             growth = growth + 1 if abs(est) > 1.02 * abs(prev) else 0
             if growth >= 6 and abs(est) > 8.0 * abs(first):
@@ -266,7 +316,9 @@ def mean_from_transform(phi: LaplaceEval, rel_tol: float = _MEAN_REL_TOL,
             first = est
         prev = est
         h /= 2
-    return est
+    raise ConvergenceError(
+        f"phi(s)/s did not settle to rel_tol={rel_tol} within {max_evals} "
+        f"evaluations; last estimate {est!r}, last change {delta!r}")
 
 
 def permanent_reduce(config: SystemConfig) -> SystemConfig:

@@ -331,7 +331,7 @@ def run(args) -> int:
         return _COMMANDS[args.command](args)
     except UsageError:
         raise
-    except (ValueError, ArithmeticError, RuntimeError, AssertionError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, core.EventLogError) as exc:
         print(f"onoffchain: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 

@@ -29,6 +29,7 @@ __all__ = [
     "ScheduleError",
     "DegenerateRangeError",
     "DimensionMismatchError",
+    "EventLogError",
     "InvalidSequenceError",
     "validate_signal_recovery",
     "to_on_off",
@@ -55,6 +56,10 @@ class DegenerateRangeError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Two objects that must share node range / window do not."""
+
+
+class EventLogError(AssertionError):
+    """An event log breaks a structural invariant of the dynamics."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +155,12 @@ class RateSchedule:
                 raise ScheduleError(f"index {k} outside explicit schedule "
                                     f"[{self.first_index}, {self.first_index + len(self.values) - 1}]")
             return self.values[j]
-        if self.length is not None and not 1 <= k <= self.length:
+        if k < 1:
+            raise ScheduleError(f"parametric schedules are defined for k >= 1, got {k}")
+        if self.length is not None and k > self.length:
             raise ScheduleError(f"index {k} outside schedule of length {self.length}")
         if self.family == CONSTANT:
             return self.c
-        if k < 1:
-            raise ScheduleError(f"parametric schedules are defined for k >= 1, got {k}")
         if self.family == LINEAR:
             return self.c * k
         if self.family == LOG_SQUARE:
@@ -373,9 +378,9 @@ class EventLog:
 
 
 def validate_event_log(log: EventLog) -> None:
-    """Replay a log and assert its structural invariants.
+    """Replay a log and check its structural invariants.
 
-    Raises AssertionError on the first breach: non-monotone times, stray
+    Raises EventLogError on the first breach: non-monotone times, stray
     ties, broken per-node alternation, or a reception block that is not the
     maximal all-on suffix at that instant.
     """
@@ -388,46 +393,54 @@ def validate_event_log(log: EventLog) -> None:
     prev = None
     for e in log.events:
         kind, t = e[0], e[1]
-        assert t >= last_t, f"event times decrease at {e}"
+        if not t >= last_t:                # also refuses NaN times
+            raise EventLogError(f"event times decrease at {e}")
         if t > last_t:
             pending_input = False
         if kind == INPUT:
-            assert not log.restricted, "restricted logs carry no input events"
+            if log.restricted:
+                raise EventLogError("restricted logs carry no input events")
             pending_input = True
         elif kind == RECOVERY:
             node = e[2]
-            assert lo <= node <= hi, f"recovery outside range: {e}"
+            if not lo <= node <= hi:
+                raise EventLogError(f"recovery outside range: {e}")
             j = node - lo
-            assert on[j] == 0, f"recovery of a node already on: {e}"
+            if on[j] != 0:
+                raise EventLogError(f"recovery of a node already on: {e}")
             on[j] = 1
-            assert last_kind_per_node.get(node) != RECOVERY, \
-                f"two recoveries without a reception at node {node}"
+            if last_kind_per_node.get(node) == RECOVERY:
+                raise EventLogError(f"two recoveries without a reception at node {node}")
             last_kind_per_node[node] = RECOVERY
             if t == last_t and prev is not None:
                 # only the permanent tick puts a recovery level with others,
                 # and there it opens the tick
-                assert not pending_input, f"recovery inside an input tick: {e}"
+                if pending_input:
+                    raise EventLogError(f"recovery inside an input tick: {e}")
         else:
             a, b = e[2], e[3]
-            assert lo <= a <= b <= hi, f"reception block outside range: {e}"
+            if not lo <= a <= b <= hi:
+                raise EventLogError(f"reception block outside range: {e}")
             if not log.restricted:
-                assert pending_input and t >= last_t, \
-                    f"reception without a same-instant input: {e}"
-                assert b == hi, f"reception block must reach the right end: {e}"
+                if not pending_input:
+                    raise EventLogError(f"reception without a same-instant input: {e}")
+                if b != hi:
+                    raise EventLogError(f"reception block must reach the right end: {e}")
             for node in range(a, b + 1):
                 j = node - lo
-                assert on[j] == 1, f"reception at an off node: {e}"
+                if on[j] != 1:
+                    raise EventLogError(f"reception at an off node: {e}")
                 on[j] = 0
-                assert last_kind_per_node.get(node) == RECOVERY, \
-                    f"reception without preceding recovery at node {node}"
+                if last_kind_per_node.get(node) != RECOVERY:
+                    raise EventLogError(f"reception without preceding recovery at node {node}")
                 last_kind_per_node[node] = RECEPTION
-            if a > lo:
-                assert on[a - 1 - lo] == 0, \
-                    f"block not maximal: node {a - 1} was on at {t}: {e}"
+            if a > lo and on[a - 1 - lo] != 0:
+                raise EventLogError(f"block not maximal: node {a - 1} was on at {t}: {e}")
             pending_input = False
         last_t = t
         prev = e
-        assert t <= log.horizon, f"event beyond horizon: {e}"
+        if not t <= log.horizon:
+            raise EventLogError(f"event beyond horizon: {e}")
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def _validator_battery(reps=12) -> Check:
                     back = core.switch_times(traj)
                     if back.receptions != seq.receptions or back.recoveries != seq.recoveries:
                         return ("structural validators", False, "round trip broke")
-                except AssertionError as exc:
+                except core.EventLogError as exc:
                     return ("structural validators", False, str(exc))
                 count += 1
     return ("structural validators", True, f"{count} seeded logs validated")

@@ -1,11 +1,72 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
 
 from onoffchain import analytic, core, sim
+
+
+@lru_cache(maxsize=None)
+def _mp_subset_table(rates: tuple, bits: int):
+    """(sigma, weight) over the distinct subset sums of a rate multiset."""
+    table = [(mpmath.mpf(0), 1)]
+    with mpmath.workprec(bits):
+        for r, c in sorted(Counter(rates).items()):
+            steps = [(j * mpmath.mpf(r), (-1) ** j * math.comb(c, j)) for j in range(c + 1)]
+            table = [(sigma + shift, w * coeff)
+                     for sigma, w in table for shift, coeff in steps]
+    return table
+
+
+def _mp_chain_reference(model, rates, s):
+    """The chain transform at s as an mpmath sum of weighted input logs,
+    carried at 160 bits beyond the chain length."""
+    rates = tuple(float(r) for r in rates)
+    bits = len(rates) + 160
+    table = _mp_subset_table(rates, bits)
+    with mpmath.workprec(bits):
+        if model.kind == core.EXPONENTIAL:
+            rho = mpmath.mpf(model.rate)
+            law = lambda x: x / (rho + x)
+        elif model.kind == core.DETERMINISTIC:
+            d = mpmath.mpf(model.duration)
+            law = lambda x: -mpmath.expm1(-d * x)
+        else:
+            xs = [mpmath.mpf(float(v)) for v in model.samples]
+            law = lambda x: 1 - mpmath.fsum(mpmath.exp(-x * v) for v in xs) / len(xs)
+        x = mpmath.mpf(s)
+        return mpmath.exp(mpmath.fsum(w * mpmath.log(law(x + sigma)) for sigma, w in table))
+
+
+def _assert_matches_reference(phi, model, rates, grid, rel):
+    for s in grid:
+        ref = _mp_chain_reference(model, rates, s)
+        got = phi(s)
+        with mpmath.workprec(200):
+            err = abs((got - ref) / ref)
+        assert err <= rel, f"s={s}: {got!r} vs {mpmath.nstr(ref, 17)} (rel {mpmath.nstr(err, 3)})"
+
+
+_DIFF_INPUTS = {
+    "exp": core.InputModel.exponential(1.3),
+    "det": core.InputModel.deterministic(0.8),
+    "emp": core.InputModel.empirical([0.3, 1.1, 2.6]),
+}
+_DIFF_CHAINS = {
+    "equal8": [1.0] * 8,
+    "equal16": [1.0] * 16,
+    "equal24": [0.9] * 24,
+    "equal32": [1.0] * 32,
+    "equal64": [1.0] * 64,
+    "mixed1x8_2x8": [1.0] * 8 + [2.0] * 8,
+    "mixed1x10_1.7x5_3x3": [1.0] * 10 + [1.7] * 5 + [3.0] * 3,
+    "distinct12": list(np.random.default_rng(31).uniform(0.3, 4.0, size=12)),
+}
+_DIFF_GRID = (1e-3, 0.1, 1.0, 10.0)
 
 
 class TestInputTransforms:
@@ -73,13 +134,13 @@ class TestChainTransform:
 
     def test_matches_folded_steps(self):
         model = core.InputModel.exponential(1.0)
-        rates = [0.7, 2.0, 1.1]
-        chain = analytic.chain_transform(model, rates)
-        folded = analytic.transform_of_input(model)
-        for r in rates:
-            folded = analytic.node_step(folded, r)
-        for s in (0.2, 1.0, 4.0):
-            assert chain(s) == pytest.approx(folded(s), rel=1e-12)
+        for rates in ([0.7, 2.0, 1.1], [1.0, 1.0, 2.0, 2.0, 2.0, 0.5]):
+            chain = analytic.chain_transform(model, rates)
+            folded = analytic.transform_of_input(model)
+            for r in rates:
+                folded = analytic.node_step(folded, r)
+            for s in (0.2, 1.0, 4.0):
+                assert chain(s) == pytest.approx(folded(s), rel=1e-12)
 
     def test_permutation_invariance(self):
         model = core.InputModel.exponential(1.0)
@@ -106,9 +167,26 @@ class TestChainTransform:
 
     def test_long_equal_chain_allowed(self):
         model = core.InputModel.exponential(1.0)
-        chain = analytic.chain_transform(model, [1.0] * 64)
-        v = chain(1.0)
-        assert 0.0 < v <= 1.0
+        assert analytic.chain_transform(model, [1.0] * 64)(1.0) == pytest.approx(
+            0.996621726545698, rel=1e-12)
+        for n in (64, 100):
+            chain = analytic.chain_transform(model, [1.0] * n)
+            _assert_matches_reference(chain, model, [1.0] * n, (0.01, 1.0), 1e-12)
+
+    @pytest.mark.parametrize("input_name", sorted(_DIFF_INPUTS))
+    @pytest.mark.parametrize("chain_name", list(_DIFF_CHAINS))
+    def test_matches_mpmath_reference(self, chain_name, input_name):
+        model, rates = _DIFF_INPUTS[input_name], _DIFF_CHAINS[chain_name]
+        phi = analytic.chain_transform(model, rates)
+        _assert_matches_reference(phi, model, rates, _DIFF_GRID, 1e-10)
+
+    def test_long_distinct_chain_matches_mpmath_reference(self):
+        # 2**18 reference terms cost seconds per point in mpmath, so the
+        # longest distinct chain is checked at the two ends of the grid
+        model = _DIFF_INPUTS["exp"]
+        rates = list(np.random.default_rng(32).uniform(0.3, 4.0, size=18))
+        phi = analytic.chain_transform(model, rates)
+        _assert_matches_reference(phi, model, rates, (1e-3, 10.0), 1e-10)
 
     def test_mean_matches_simulated_gaps_across_a_chain(self):
         # node 1 of a four-node chain fed at the right end: the transform
@@ -174,6 +252,15 @@ class TestMeanExtraction:
     def test_improper_transform_rejected(self):
         phi = analytic.LaplaceEval(lambda s: 0.5 + s, "closed-form", "improper")
         with pytest.raises(analytic.ImproperTransformError):
+            analytic.mean_from_transform(phi)
+
+    def test_unsettled_extrapolation_raises(self):
+        # phi(h)/h flips between 2 + c and 2 - c at every halving of h, so
+        # the extrapolants oscillate for ever without growing
+        phi = analytic.LaplaceEval(
+            lambda s: 0.0 if s == 0 else s * (2.0 + math.cos(math.pi * math.log2(s))),
+            "closed-form", "oscillating")
+        with pytest.raises(analytic.ConvergenceError):
             analytic.mean_from_transform(phi)
 
     def test_infinite_mean_detected(self):

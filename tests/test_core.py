@@ -45,8 +45,11 @@ class TestRateSchedule:
             assert fam.rate(k) > 0
 
     def test_parametric_rejects_index_zero(self):
-        with pytest.raises(core.ScheduleError):
-            core.RateSchedule.linear(1.0).rate(0)
+        for sched in (core.RateSchedule.linear(1.0), core.RateSchedule.constant(1.0),
+                      core.RateSchedule.constant(1.0, length=4),
+                      core.RateSchedule.log_family(1.0, 0.5), core.RateSchedule.log_square()):
+            with pytest.raises(core.ScheduleError):
+                sched.rate(0)
 
 
 class TestInputModel:
