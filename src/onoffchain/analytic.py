@@ -12,6 +12,7 @@ underneath cancels about one bit per node, hence the precision floor).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,14 +358,50 @@ class HighPrecisionReal:
         return mpmath.nstr(self.value, n, strip_zeros=False)
 
 
+def _prime_exponents(n: int) -> list[tuple[int, int]]:
+    """The nonzero exact exponents e_p with prod_k k^((-1)^k C(n, k)) =
+    prod_p p^(e_p), for the primes p <= n.
+
+    e_p = sum_k (-1)^k C(n, k) v_p(k), where v_p(k) is the exponent of p in
+    k: each k adds its signed binomial once for every power p^j dividing it.
+    """
+    signed = [1] * (n + 1)
+    c = 1
+    for k in range(1, n + 1):
+        c = c * (n - k + 1) // k
+        signed[k] = -c if k & 1 else c
+    sieve = bytearray([1]) * (n + 1)
+    out = []
+    for p in range(2, n + 1):
+        if not sieve[p]:
+            continue
+        sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+        e = 0
+        q = p
+        while q <= n:
+            e += sum(signed[q::q])
+            q *= p
+        if e:
+            out.append((p, e))
+    return out
+
+
 def exact_mean_equal_rates(n: int, precision_bits: int | None = None) -> HighPrecisionReal:
     """Mean first-reception time at the left end of an n-node equal-rate
     chain under permanent input, by the exact alternating product.
 
-    Computed as exp(sum_k (-1)^k C(n, k) ln k) with exact integral binomials.
-    The alternating sum cancels about n bits, so requests below n + 64 bits
-    are refused; internally the sum carries extra guard bits and the result
-    is rounded back to the requested precision.
+    The mean is prod_k k^((-1)^k C(n, k)) = prod_p p^(e_p) with the exact
+    integer prime exponents of :func:`_prime_exponents`, so it is computed
+    as exp(sum_p e_p ln p): pi(n) logarithms instead of n - 1.
+
+    Precision: an absolute error in the sum is a relative error in the
+    mean.  Rounding the terms at w bits leaves an absolute error of about
+    2^-w sum_p |e_p| ln p, and since |e_p| <= sum_k C(n, k) v_p(k),
+    sum_p |e_p| ln p <= sum_k C(n, k) ln k <= 2^n ln n: the bound of the
+    direct sum over k, which cancels about n bits, still holds.  Requests
+    below n + 64 bits are refused; the sum runs at
+    ``precision_bits + n + 32`` bits and the result is rounded back to the
+    requested precision.  Results are cached by (n, bits).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -376,12 +413,13 @@ def exact_mean_equal_rates(n: int, precision_bits: int | None = None) -> HighPre
             f"precision_bits={precision_bits} is below the floor {floor}: the "
             f"alternating sum cancels about {n} bits, leaving fewer than 64 "
             f"trustworthy bits in the result")
-    work = precision_bits + n + 32
-    with mpmath.workprec(work):
-        total = mpmath.mpf(0)
-        for k in range(2, n + 1):          # k = 1 contributes ln 1 = 0
-            term = mpmath.log(k) * math.comb(n, k)
-            total = total - term if k & 1 else total + term
+    return _exact_mean(n, precision_bits)
+
+
+@functools.lru_cache(maxsize=128)
+def _exact_mean(n: int, precision_bits: int) -> HighPrecisionReal:
+    with mpmath.workprec(precision_bits + n + _GUARD_BITS):
+        total = mpmath.fsum(e * mpmath.log(p) for p, e in _prime_exponents(n))
         value = mpmath.exp(total)
     with mpmath.workprec(precision_bits):
         value = +value                     # round to the stated precision
@@ -393,21 +431,17 @@ def exact_mean_small_fraction(n: int) -> Fraction:
     if not 1 <= n <= 16:
         raise ValueError("rational cross-check is for n <= 16 (the exponents "
                          "are binomial coefficients)")
-    num = 1
-    den = 1
-    for k in range(1, n + 1):
-        if k & 1:
-            den *= k ** math.comb(n, k)
-        else:
-            num *= k ** math.comb(n, k)
-    return Fraction(num, den)
+    exps = _prime_exponents(n)
+    return Fraction(math.prod(p ** e for p, e in exps if e > 0),
+                    math.prod(p ** -e for p, e in exps if e < 0))
 
 
-def euler_ratio(n: int) -> float:
-    """exact_mean_equal_rates(n) / ln n; approaches exp(EULER_GAMMA)."""
+def euler_ratio(n: int, precision_bits: int | None = None) -> float:
+    """exact_mean_equal_rates(n, precision_bits) / ln n; approaches
+    exp(EULER_GAMMA)."""
     if n < 2:
         raise ValueError("n must be >= 2 (ln 1 = 0)")
-    hp = exact_mean_equal_rates(n)
+    hp = exact_mean_equal_rates(n, precision_bits)
     with mpmath.workprec(hp.bits):
         return float(hp.value / mpmath.log(n))
 

@@ -250,7 +250,7 @@ def _cmd_mean(args) -> int:
     digits = hp.digits(30)
     lines = ["n,mean,ratio_to_log"]
     if args.n >= 2:
-        lines.append(f"{args.n},{digits},{analytic.euler_ratio(args.n)!r}")
+        lines.append(f"{args.n},{digits},{analytic.euler_ratio(args.n, hp.bits)!r}")
     else:
         lines.append(f"{args.n},{digits},")
     _emit(args, [f"command: mean --n {args.n} --bits {hp.bits}"], lines)

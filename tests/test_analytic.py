@@ -320,6 +320,30 @@ class TestTransformSanity:
             assert all(v <= 1.0 + 1e-12 for v in vals)
 
 
+def _direct_alternating_mean(n, bits):
+    """The equal-rate mean as the direct sum exp(sum_k (-1)^k C(n, k) ln k),
+    one logarithm per k, at the same working precision as the package."""
+    with mpmath.workprec(bits + n + 32):
+        total = mpmath.mpf(0)
+        for k in range(2, n + 1):          # k = 1 contributes ln 1 = 0
+            term = mpmath.log(k) * math.comb(n, k)
+            total = total - term if k & 1 else total + term
+        value = mpmath.exp(total)
+    with mpmath.workprec(bits):
+        return +value
+
+
+def _k_loop_fraction(n):
+    """The equal-rate mean as prod_k k^((-1)^k C(n, k)), one factor per k."""
+    num = den = 1
+    for k in range(1, n + 1):
+        if k & 1:
+            den *= k ** math.comb(n, k)
+        else:
+            num *= k ** math.comb(n, k)
+    return Fraction(num, den)
+
+
 class TestExactMeans:
     def test_small_values_exactly_rational(self):
         assert analytic.exact_mean_small_fraction(1) == 1
@@ -338,6 +362,43 @@ class TestExactMeans:
     def test_precision_floor_enforced(self):
         with pytest.raises(analytic.PrecisionError):
             analytic.exact_mean_equal_rates(64, 100)
+
+    def test_prime_exponents_match_direct_sum(self):
+        bit_equal = cases = 0
+        for n in list(range(1, 65)) + [100, 257, 513, 1000]:
+            for bits in (n + 64, n + 128):
+                got = analytic.exact_mean_equal_rates(n, bits)
+                want = _direct_alternating_mean(n, bits)
+                assert got.bits == bits
+                with mpmath.workprec(2 * bits):
+                    rel = abs(got.value - want) / want
+                    assert rel <= mpmath.ldexp(1, 4 - bits), (n, bits)
+                bit_equal += got.value == want
+                cases += 1
+        print(f"prime-exponent mean bit-equal to the direct sum in {bit_equal} of {cases} cases")
+
+    def test_rational_matches_k_loop(self):
+        for n in range(1, 17):
+            assert analytic.exact_mean_small_fraction(n) == _k_loop_fraction(n)
+        with pytest.raises(ValueError, match="n <= 16"):
+            analytic.exact_mean_small_fraction(17)
+
+    def test_mean_cached_by_n_and_bits(self):
+        a = analytic.exact_mean_equal_rates(80, 160)
+        hits = analytic._exact_mean.cache_info().hits
+        b = analytic.exact_mean_equal_rates(80, 160)
+        assert b is a and b.value == a.value
+        assert analytic._exact_mean.cache_info().hits == hits + 1
+        c = analytic.exact_mean_equal_rates(80, 200)
+        assert c.bits == 200 and c is not a
+        with pytest.raises(analytic.PrecisionError):
+            analytic.exact_mean_equal_rates(80, 143)
+        assert analytic.exact_mean_equal_rates(80, 144).bits == 144
+
+    def test_euler_ratio_precision_passes_through(self):
+        assert analytic.euler_ratio(64, 200) == analytic.euler_ratio(64)
+        with pytest.raises(analytic.PrecisionError):
+            analytic.euler_ratio(64, 100)
 
     def test_cross_precision_agreement(self):
         a = analytic.exact_mean_equal_rates(64, 128)

@@ -55,6 +55,21 @@ class TestSpecParsing:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("argv, rows", [
+        (["--n", "3"], ["# command: mean --n 3 --bits 67",
+                        "3,2.66666666666666666665763164856,2.427304604338233"]),
+        (["--n", "64"], ["# command: mean --n 64 --bits 128",
+                         "64,8.17249845422616479852139563526,1.9650704985974679"]),
+        (["--n", "64", "--bits", "200"],
+         ["# command: mean --n 64 --bits 200",
+          "64,8.17249845422616479852139563526,1.9650704985974679"]),
+    ])
+    def test_mean_output_pinned(self, capsys, argv, rows):
+        code, out, _ = run_cli(["mean"] + argv, capsys)
+        assert code == 0
+        assert out.splitlines() == ["# onoffchain 0.1.0", rows[0], "# seed: 0",
+                                    "n,mean,ratio_to_log", rows[1]]
+
     def test_mean_small_n(self, capsys):
         code, out, _ = run_cli(["mean", "--n", "3"], capsys)
         assert code == 0
