@@ -100,12 +100,12 @@ def parse_instance(text: str) -> frozen.ThresholdSequence:
     raise UsageError(f"unknown instance kind {head!r} in {text!r}")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+def _number_list(text: str, kind, flag: str) -> list:
+    """Comma-separated numbers of one kind; a malformed entry is a usage error."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def parse_stop(text: str) -> sim.StopRule:
@@ -263,7 +263,7 @@ def _cmd_transform(args) -> int:
     if rates.family != core.EXPLICIT:
         raise UsageError("transform works on explicit rate lists")
     phi = analytic.chain_transform(model, rates.values)
-    grid = _float_list(args.s_grid)
+    grid = _number_list(args.s_grid, float, "--s-grid")
     lines = ["s,phi"]
     lines.extend(f"{s!r},{phi(s)!r}" for s in grid)
     mean = analytic.mean_from_transform(phi)
@@ -276,9 +276,12 @@ def _cmd_transform(args) -> int:
 def _cmd_limit(args) -> int:
     rates = parse_rates(args.rates)
     if args.certify:
-        a, b = (float(x) for x in args.interval.split(","))
+        interval = _number_list(args.interval, float, "--interval")
+        if len(interval) != 2:
+            raise UsageError(f"bad --interval {args.interval!r}: need two values a,b")
+        a, b = interval
         lines = ["k,tau,tail_sum,rho,bound"]
-        for k in _int_list(args.certify):
+        for k in _number_list(args.certify, int, "--certify"):
             cert = limit.interval_reception_bound(k, (a, b), rates)
             lines.append(cert.record())
         header = [f"command: limit --rates {args.rates} --certify {args.certify} "
@@ -287,7 +290,7 @@ def _cmd_limit(args) -> int:
         return 0
     if not args.ladder:
         raise UsageError("limit needs --ladder (or --certify)")
-    ladder = _int_list(args.ladder)
+    ladder = _number_list(args.ladder, int, "--ladder")
     table = limit.convergence_diagnostics(args.k, ladder, rates, args.reps, args.seed)
     header = [f"command: limit --rates {args.rates} --k {args.k} "
               f"--ladder {args.ladder} --reps {args.reps}"]

@@ -10,8 +10,9 @@ input randomness.
 
 Every substream is a keyed counter-based generator: replication r and node i
 draw from Philox keyed ``(master_seed, r << 32 | (i + 1))``; the input stream
-uses slot 0 of the same layout.  Streams are consumed in indexed counter
-blocks, which makes replications allocation-free and embarrassingly parallel.
+uses slot 0 of the same layout.  Streams are drawn in indexed counter
+blocks, so any one stream is realized without drawing any other, and
+replications need no coordination and are embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ __all__ = [
 # One Philox/Generator pair per thread; streams are realized by injecting
 # (key, counter-block) state before each block draw.  Block index b of a
 # stream occupies counter word 2, so blocks own disjoint 2**128 counter
-# ranges and block 0 coincides with the plain keyed stream.
+# ranges and block 0 coincides with the plain keyed stream.  The cached state
+# dict is a copy taken from the fresh generator: its other counter words, its
+# empty buffer (``buffer_pos`` 4) and its spare 32-bit word stay as they were,
+# so only the key and the block index are written.
 _local = threading.local()
 
 
@@ -78,17 +82,75 @@ def _draw_block(key0: int, key1: int, block: int, size: int, kind: str) -> np.nd
     bitgen, gen, state, key, counter = _machinery()
     key[0] = key0
     key[1] = key1
-    counter[0] = 0
-    counter[1] = 0
     counter[2] = block
-    counter[3] = 0
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
     bitgen.state = state
     if kind == "exp":
         return gen.standard_exponential(size)
     return gen.random(size)
+
+
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 65536
+
+
+class _KeyedStream:
+    """Running sums of gaps drawn block by block from one keyed stream.
+
+    Block b holds ``min(16 * 4**b, 65536)`` draws of ``kind`` at counter word
+    2 = b; ``gap`` maps the draws of a block to gaps.  The readers keep only
+    the current block.
+    """
+
+    __slots__ = ("_k0", "_k1", "_kind", "_gap", "_block", "_size", "_last", "_pts", "_pos")
+
+    def __init__(self, key: tuple[int, int], kind: str, gap):
+        self._k0, self._k1 = key
+        self._kind = kind
+        self._gap = gap
+        self._block = 0
+        self._size = _FIRST_BLOCK
+        self._last = 0.0
+        self._pts: list[float] = []
+        self._pos = 0
+
+    def next_block(self) -> np.ndarray:
+        draws = _draw_block(self._k0, self._k1, self._block, self._size, self._kind)
+        self._block += 1
+        self._size = min(self._size * 4, _MAX_BLOCK)
+        pts = self._last + np.cumsum(self._gap(draws))
+        self._last = pts[-1]
+        return pts
+
+    def next(self) -> float:
+        """The next time of the stream."""
+        pos = self._pos
+        if pos == len(self._pts):
+            self._pts = self.next_block().tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._pts[pos]
+
+    def next_after(self, t: float) -> float:
+        """First time strictly greater than t.
+
+        Queries arrive in nondecreasing order (each node's switch-off times
+        increase), so consumed times stay behind a moving cursor.
+        """
+        pts = self._pts
+        while not pts or pts[-1] <= t:
+            pts = self._pts = self.next_block().tolist()
+            self._pos = 0
+        pos = self._pos
+        p = pts[pos]
+        if p <= t:
+            pos = bisect_right(pts, t, pos + 1)
+            p = pts[pos]
+            self._pos = pos
+        return p
+
+
+def _recovery_stream(plan: RandomnessPlan, node: int, rate: float) -> _KeyedStream:
+    return _KeyedStream(plan.recovery_key(node), "exp", lambda d: d / rate)
 
 
 @dataclass(frozen=True)
@@ -127,94 +189,12 @@ class RandomnessPlan:
         asserting that runs with different inputs were offered identical
         points.
         """
-        k0, k1 = self.recovery_key(node)
-        pts = []
-        t = 0.0
-        block = 0
-        size = _FIRST_BLOCK
-        while t <= upto:
-            gaps = _draw_block(k0, k1, block, size, "exp") / rate
-            cum = t + np.cumsum(gaps)
-            pts.append(cum)
-            t = cum[-1]
-            block += 1
-            size = min(size * 4, _MAX_BLOCK)
-        all_pts = np.concatenate(pts)
-        return all_pts[all_pts <= upto]
-
-
-_FIRST_BLOCK = 16
-_MAX_BLOCK = 65536
-
-
-class _PointStream:
-    """Lazily grown potential-recovery point process for one node."""
-
-    __slots__ = ("_k0", "_k1", "_rate", "_points", "_block", "_size", "_pos")
-
-    def __init__(self, plan: RandomnessPlan, node: int, rate: float):
-        self._k0, self._k1 = plan.recovery_key(node)
-        self._rate = rate
-        self._points: list[float] = []
-        self._block = 0
-        self._size = _FIRST_BLOCK
-        self._pos = 0
-
-    def _grow(self):
-        gaps = _draw_block(self._k0, self._k1, self._block, self._size, "exp")
-        self._block += 1
-        self._size = min(self._size * 4, _MAX_BLOCK)
-        last = self._points[-1] if self._points else 0.0
-        self._points.extend((last + np.cumsum(gaps / self._rate)).tolist())
-
-    def next_after(self, t: float) -> float:
-        """First potential point strictly greater than t.
-
-        Queries arrive in nondecreasing order (each node's switch-off times
-        increase), so consumed points stay behind a moving cursor.
-        """
-        pts = self._points
-        while not pts or pts[-1] <= t:
-            self._grow()
-            pts = self._points
-        pos = self._pos
-        p = pts[pos]
-        if p <= t:
-            pos = bisect_right(pts, t, pos + 1)
-            p = pts[pos]
-            self._pos = pos
-        return p
-
-
-class _InputStream:
-    """Renewal input times from shared uniforms through the quantile map."""
-
-    __slots__ = ("_k0", "_k1", "_model", "_times", "_idx", "_block", "_size", "_last")
-
-    def __init__(self, plan: RandomnessPlan, model: InputModel):
-        self._k0, self._k1 = plan.input_key()
-        self._model = model
-        self._times = None
-        self._idx = 0
-        self._block = 0
-        self._size = _FIRST_BLOCK
-        self._last = 0.0
-
-    def _grow(self):
-        u = _draw_block(self._k0, self._k1, self._block, self._size, "uniform")
-        self._block += 1
-        self._size = min(self._size * 4, _MAX_BLOCK)
-        gaps = self._model.quantile(u)
-        self._times = self._last + np.cumsum(gaps)
-        self._last = float(self._times[-1])
-        self._idx = 0
-
-    def next(self) -> float:
-        if self._times is None or self._idx >= len(self._times):
-            self._grow()
-        t = float(self._times[self._idx])
-        self._idx += 1
-        return t
+        stream = _recovery_stream(self, node, rate)
+        blocks = [stream.next_block()]
+        while blocks[-1][-1] <= upto:
+            blocks.append(stream.next_block())
+        pts = np.concatenate(blocks)
+        return pts[pts <= upto]
 
 
 # ---------------------------------------------------------------------------
@@ -274,25 +254,18 @@ def simulate(config: SystemConfig, plan: RandomnessPlan, stop: StopRule) -> Even
             raise ValueError(f"stop node {stop.node} outside [{lo}, {hi}]")
     cap = stop.time if stop.kind == HORIZON else math.inf
 
-    events: list[tuple] = []
-    if n == 0:
-        ins = _InputStream(plan, config.input)
-        t = ins.next()
-        while t <= cap:
-            events.append((INPUT, t, None, None))
-            t = ins.next()
-        return EventLog(lo, hi, cap, permanent, events)
-
     rates = config.node_rates()
-    streams = [_PointStream(plan, lo + j, rates[j]) for j in range(n)]
-    on = bytearray(n)
+    streams = [_recovery_stream(plan, lo + j, rates[j]) for j in range(n)]
+    # an empty chain reads on[-1] == 0, so its inputs reach no node
+    on = bytearray(max(n, 1))
     heap = [(streams[j].next_after(0.0), j) for j in range(n)]
     heapq.heapify(heap)
-    ins = None if permanent else _InputStream(plan, config.input)
+    ins = None if permanent else _KeyedStream(plan.input_key(), "uniform", config.input.quantile)
     next_in = math.inf if permanent else ins.next()
 
     stop_node = stop.node if stop.kind in (FIRST_RECEPTION, RECEPTION_COUNT) else None
     want = stop.count if stop.kind == RECEPTION_COUNT else (1 if stop.kind == FIRST_RECEPTION else 0)
+    events: list[tuple] = []
     seen = 0
     horizon = cap
     push = heapq.heappush

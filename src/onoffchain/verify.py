@@ -28,8 +28,9 @@ def _exact_small_means() -> Check:
     return ("exact small means", True, "n=1,2,3 -> 1, 2, 8/3")
 
 
-def _permutation_invariance(lengths=(3, 5, 8), tol=1e-12) -> Check:
+def _permutation_invariance() -> Check:
     import numpy as np
+    lengths, tol = (3, 5, 8), 1e-12
     rng = np.random.default_rng(20240817)
     for ln in lengths:
         rates = rng.uniform(0.3, 4.0, size=ln)
@@ -43,8 +44,9 @@ def _permutation_invariance(lengths=(3, 5, 8), tol=1e-12) -> Check:
     return ("permutation invariance", True, f"lengths {lengths} at s=0.1,1,10")
 
 
-def _subset_vs_chain(lengths=(2, 5, 8), tol=1e-10) -> Check:
+def _subset_vs_chain() -> Check:
     import numpy as np
+    lengths, tol = (2, 5, 8), 1e-10
     rng = np.random.default_rng(901)
     model = core.InputModel.exponential(2.0)
     phi = analytic.transform_of_input(model)
@@ -60,7 +62,31 @@ def _subset_vs_chain(lengths=(2, 5, 8), tol=1e-10) -> Check:
     return ("subset expansion equals chain", True, f"lengths {lengths}")
 
 
-def _validator_battery(reps=12) -> Check:
+def _structural_failure(log: core.EventLog) -> str | None:
+    """Run one log through every structural validator; the first failure.
+
+    The chain: event-log invariants, the signal/recovery axioms of its
+    sequence, the on-off dynamics of its trajectory, and the trajectory's
+    switch times round trip.  Returns None when the log passes them all.
+    """
+    try:
+        core.validate_event_log(log)
+    except core.EventLogError as exc:
+        return f"log invariant: {exc}"
+    seq = core.log_to_sequence(log)
+    report = core.validate_signal_recovery(seq)
+    if not report.consistent:
+        return str(report.violations[0])
+    traj = core.to_on_off(seq)
+    if not core.check_dynamics(traj, seq).passed:
+        return "dynamics violations"
+    back = core.switch_times(traj)
+    if back.receptions != seq.receptions or back.recoveries != seq.recoveries:
+        return "trajectory round trip broke"
+    return None
+
+
+def _validator_battery() -> Check:
     inputs = [core.InputModel.permanent(), core.InputModel.exponential(1.5),
               core.InputModel.deterministic(0.7)]
     stops = [sim.StopRule.horizon(6.0), sim.StopRule.first_reception_at(1),
@@ -68,26 +94,13 @@ def _validator_battery(reps=12) -> Check:
     count = 0
     for i, model in enumerate(inputs):
         for j, stop in enumerate(stops):
-            for r in range(reps // 4 + 1):
+            for r in range(4):
                 cfg = core.SystemConfig(1, 3, core.RateSchedule.explicit([1.0, 2.0, 0.8]), model)
                 log = sim.simulate(cfg, sim.RandomnessPlan(7 + i, 11 * j + r), stop)
-                try:
-                    core.validate_event_log(log)
-                    seq = core.log_to_sequence(log)
-                    report = core.validate_signal_recovery(seq)
-                    if not report.consistent:
-                        return ("structural validators", False,
-                                f"{model.kind}/{stop.kind}: {report.violations[0]}")
-                    traj = core.to_on_off(seq)
-                    dyn = core.check_dynamics(traj, seq)
-                    if not dyn.passed:
-                        return ("structural validators", False,
-                                f"{model.kind}/{stop.kind}: dynamics check failed")
-                    back = core.switch_times(traj)
-                    if back.receptions != seq.receptions or back.recoveries != seq.recoveries:
-                        return ("structural validators", False, "round trip broke")
-                except core.EventLogError as exc:
-                    return ("structural validators", False, str(exc))
+                failure = _structural_failure(log)
+                if failure is not None:
+                    return ("structural validators", False,
+                            f"{model.kind}/{stop.kind}: {failure}")
                 count += 1
     return ("structural validators", True, f"{count} seeded logs validated")
 
@@ -101,7 +114,8 @@ def _determinism() -> Check:
     return ("determinism", ok, "bit-identical logs" if ok else "logs differ")
 
 
-def _cascade_refuter(max_index=6) -> Check:
+def _cascade_refuter() -> Check:
+    max_index = 6
     for seq in (frozen.ThresholdSequence.geometric(0.5),
                 frozen.ThresholdSequence.harmonic()):
         report = frozen.exhaustive_search(seq, max_index)
@@ -112,19 +126,19 @@ def _cascade_refuter(max_index=6) -> Check:
             f"all candidates violated up to index {max_index}")
 
 
-def _mc_mean(reps=20000) -> Check:
+def _mc_mean() -> Check:
     cfg = core.SystemConfig(1, 2, core.RateSchedule.constant(1.0),
                             core.InputModel.permanent())
-    dist = sim.sample_first_reception(cfg, 1, reps, seed=4242)
+    dist = sim.sample_first_reception(cfg, 1, 20000, seed=4242)
     err = abs(dist.mean() - 2.0)
     lim3 = 3 * dist.stderr()
     return ("monte carlo mean (2 nodes)", err <= lim3,
             f"mean={dist.mean():.4f}, |err|={err:.4f} vs 3se={lim3:.4f}")
 
 
-def _dominance(reps=20000) -> Check:
+def _dominance() -> Check:
     rep = limit.monotonicity_check(1, [2, 3, 4], core.RateSchedule.linear(1.0),
-                                   reps, seed=31)
+                                   20000, seed=31)
     return ("truncation dominance", rep.all_dominate,
             "all ladder steps dominate" if rep.all_dominate else str(rep.failures()))
 

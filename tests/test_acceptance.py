@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from onoffchain import analytic, core, frozen, limit, sim
+from onoffchain import analytic, core, frozen, limit, sim, verify
 
 LINEAR = core.RateSchedule.linear(1.0)
 E_GAMMA = analytic.EXP_EULER_GAMMA
@@ -277,26 +277,9 @@ def test_criterion_12_structural_validators():
                 for rep in range(3):
                     cfg = core.SystemConfig(lo, hi, sched, model)
                     log = sim.simulate(cfg, sim.RandomnessPlan(1200 + si, 97 * ii + 13 * ti + rep), stop)
-                    tag = f"{sched.family}/{model.kind}/{stop.kind}/r{rep}"
-                    try:
-                        core.validate_event_log(log)
-                    except AssertionError as exc:
-                        failures.append(f"{tag}: log invariant: {exc}")
-                        continue
-                    seq = core.log_to_sequence(log)
-                    rep_report = core.validate_signal_recovery(seq)
-                    if not rep_report.consistent:
-                        failures.append(f"{tag}: {rep_report.violations[0]}")
-                        continue
-                    traj = core.to_on_off(seq)
-                    dyn = core.check_dynamics(traj, seq)
-                    if not dyn.passed:
-                        failures.append(f"{tag}: dynamics violations")
-                        continue
-                    back = core.switch_times(traj)
-                    if (back.receptions != seq.receptions
-                            or back.recoveries != seq.recoveries):
-                        failures.append(f"{tag}: trajectory round trip broke")
+                    failure = verify._structural_failure(log)
+                    if failure is not None:
+                        failures.append(f"{sched.family}/{model.kind}/{stop.kind}/r{rep}: {failure}")
                         continue
                     checked += 1
     # single-node edge and a restricted window onto a longer chain

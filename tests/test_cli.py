@@ -171,6 +171,21 @@ class TestExitCodes:
         code, _, _ = run_cli(["explode"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["limit", "--rates", "linear:1", "--k", "1", "--ladder", "4,x"], "--ladder"),
+        (["limit", "--rates", "linear:1", "--k", "1", "--certify", "2,y"], "--certify"),
+        (["limit", "--rates", "linear:1", "--k", "1", "--certify", "2",
+          "--interval", "0,z"], "--interval"),
+        (["limit", "--rates", "linear:1", "--k", "1", "--certify", "2",
+          "--interval", "0,1,2"], "--interval"),
+        (["transform", "--rates", "explicit:1,2", "--input", "exp:1",
+          "--s-grid", "0.1,,2"], "--s-grid"),
+    ])
+    def test_malformed_list_is_usage_error(self, capsys, argv, flag):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert f"usage error: bad {flag}" in err
+
     def test_numeric_error_is_two(self, capsys):
         # precision below the cancellation floor
         code, _, err = run_cli(["mean", "--n", "64", "--bits", "100"], capsys)

@@ -34,6 +34,65 @@ class TestDeterminism:
         assert list(dist.samples) == singles
 
 
+class TestGoldenStreams:
+    """Realized streams pinned to literals: the block layout and the two gap
+    maps are the reproducibility contract, so any change to them fails here."""
+
+    RATES = core.RateSchedule.explicit([1.3, 2.7])
+
+    def test_recovery_points_through_capped_blocks(self):
+        # 96267 points need eight blocks, the last two of 65536 draws each
+        pts = sim.RandomnessPlan(2024, 3).recovery_points(5, 16.0, 6000.0)
+        assert len(pts) == 96267
+        assert float(pts[0]) == 0.07978047633260608
+        assert float(pts[-1]) == 5999.991182848491
+
+    @pytest.mark.parametrize("model, events", [
+        (core.InputModel.exponential(1.5), [
+            ("input", 0.09055987106059608, None, None),
+            ("recovery", 0.4730412727364153, 2, 2),
+            ("recovery", 0.5240412951312924, 1, 1),
+            ("input", 0.8598960908911734, None, None),
+            ("reception", 0.8598960908911734, 1, 2),
+            ("recovery", 0.8665528792733154, 2, 2),
+            ("input", 1.5372689791997107, None, None),
+            ("reception", 1.5372689791997107, 2, 2),
+            ("recovery", 1.5568686284625959, 2, 2),
+        ]),
+        (core.InputModel.deterministic(0.7), [
+            ("recovery", 0.4730412727364153, 2, 2),
+            ("recovery", 0.5240412951312924, 1, 1),
+            ("input", 0.7, None, None),
+            ("reception", 0.7, 1, 2),
+            ("recovery", 0.7852976052873002, 2, 2),
+            ("input", 1.4, None, None),
+            ("reception", 1.4, 2, 2),
+            ("recovery", 1.5568686284625959, 2, 2),
+        ]),
+        (core.InputModel.empirical([0.2, 0.5, 1.0, 3.0]), [
+            ("input", 0.2, None, None),
+            ("recovery", 0.4730412727364153, 2, 2),
+            ("recovery", 0.5240412951312924, 1, 1),
+            ("input", 1.2, None, None),
+            ("reception", 1.2, 1, 2),
+            ("recovery", 1.2076875534078375, 2, 2),
+        ]),
+    ], ids=["exp", "det", "empirical"])
+    def test_short_log(self, model, events):
+        log = sim.simulate(core.SystemConfig(1, 2, self.RATES, model),
+                           sim.RandomnessPlan(11, 0), sim.StopRule.horizon(2.0))
+        assert log.horizon == 2.0
+        assert log.events == events
+
+    def test_empty_chain_log(self):
+        log = sim.simulate(core.SystemConfig(3, 2, self.RATES, core.InputModel.exponential(1.5)),
+                           sim.RandomnessPlan(11, 0), sim.StopRule.horizon(2.0))
+        assert log.horizon == 2.0
+        assert log.events == [("input", 0.09055987106059608, None, None),
+                              ("input", 0.8598960908911734, None, None),
+                              ("input", 1.5372689791997107, None, None)]
+
+
 class TestPotentialPoints:
     def test_single_node_permanent_uses_first_point(self):
         cfg = core.SystemConfig(1, 1, core.RateSchedule.explicit([0.8]),
