@@ -164,7 +164,8 @@ def build_parser() -> _Parser:
 
     li = sub.add_parser("limit", help="truncation convergence diagnostics")
     li.add_argument("--rates", required=True)
-    li.add_argument("--k", type=int, required=True)
+    li.add_argument("--k", type=int, default=None,
+                    help="observed node of the --ladder table")
     li.add_argument("--ladder", default=None)
     li.add_argument("--reps", type=int, default=10000)
     li.add_argument("--certify", default=None, metavar="K1,K2,...",
@@ -290,6 +291,8 @@ def _cmd_limit(args) -> int:
         return 0
     if not args.ladder:
         raise UsageError("limit needs --ladder (or --certify)")
+    if args.k is None:
+        raise UsageError("limit --ladder needs --k")
     ladder = _number_list(args.ladder, int, "--ladder")
     table = limit.convergence_diagnostics(args.k, ladder, rates, args.reps, args.seed)
     header = [f"command: limit --rates {args.rates} --k {args.k} "

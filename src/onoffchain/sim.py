@@ -12,7 +12,15 @@ Every substream is a keyed counter-based generator: replication r and node i
 draw from Philox keyed ``(master_seed, r << 32 | (i + 1))``; the input stream
 uses slot 0 of the same layout.  Streams are drawn in indexed counter
 blocks, so any one stream is realized without drawing any other, and
-replications need no coordination and are embarrassingly parallel.
+replications need no coordination and are embarrassingly parallel.  Every
+stream draws uniforms u in [0, 1) and nothing else: node i's recovery gaps
+are ``-log1p(-u) / rate(i)``, the input gaps the input law's quantile map.
+
+``simulate`` is the event-log engine.  ``sample_first_reception`` runs
+replications in lockstep, reception by reception, over the first block of
+each of their streams, drawn by a numpy Philox that matches the scalar draw
+bit for bit; a replication that needs more is rerun by ``simulate``, so
+both give the same floats.
 """
 
 from __future__ import annotations
@@ -78,34 +86,76 @@ def _machinery():
     return m
 
 
-def _draw_block(key0: int, key1: int, block: int, size: int, kind: str) -> np.ndarray:
+def _draw_block(key0: int, key1: int, block: int, size: int) -> np.ndarray:
     bitgen, gen, state, key, counter = _machinery()
     key[0] = key0
     key[1] = key1
     counter[2] = block
     bitgen.state = state
-    if kind == "exp":
-        return gen.standard_exponential(size)
     return gen.random(size)
 
 
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 65536
 
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11),
+# as used by numpy's Philox.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SH32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * m, from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> _SH32
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    lh = a_lo * m_hi
+    hl = a_hi * m_lo
+    mid = ((a_lo * m_lo) >> _SH32) + (lh & _LO32) + (hl & _LO32)
+    hi = a_hi * m_hi + (lh >> _SH32) + (hl >> _SH32) + (mid >> _SH32)
+    return hi, a * np.uint64(m)
+
+
+def _philox_uniforms(key0, key1, block: int, size: int) -> np.ndarray:
+    """Row i is ``_draw_block(key0[i], key1[i], block, size)``, bit for bit.
+
+    numpy's Philox steps its counter before each call of the round function,
+    so the j-th call (j = 1, 2, ...) of block b encrypts the counter
+    (j, 0, b, 0) and yields four 64-bit words in order; ``Generator.random``
+    maps each word w to ``(w >> 11) * 2**-53``.  Keys broadcast.
+    """
+    k0, k1 = np.broadcast_arrays(np.asarray(key0, dtype=np.uint64),
+                                 np.asarray(key1, dtype=np.uint64))
+    k0 = k0.reshape(-1, 1)
+    k1 = k1.reshape(-1, 1)
+    calls = -(-size // 4)
+    c0 = np.broadcast_to(np.arange(1, calls + 1, dtype=np.uint64), (len(k0), calls))
+    c1 = c3 = np.zeros_like(c0)
+    c2 = np.full_like(c0, block)
+    for r in range(10):
+        if r:
+            k0 = k0 + np.uint64(_PHILOX_W[0])
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k0), 4 * calls)[:, :size]
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
 
 class _KeyedStream:
     """Running sums of gaps drawn block by block from one keyed stream.
 
-    Block b holds ``min(16 * 4**b, 65536)`` draws of ``kind`` at counter word
-    2 = b; ``gap`` maps the draws of a block to gaps.  The readers keep only
-    the current block.
+    Block b holds ``min(16 * 4**b, 65536)`` uniforms at counter word 2 = b;
+    ``gap`` maps the uniforms of a block to gaps.  The readers keep only the
+    current block.
     """
 
-    __slots__ = ("_k0", "_k1", "_kind", "_gap", "_block", "_size", "_last", "_pts", "_pos")
+    __slots__ = ("_k0", "_k1", "_gap", "_block", "_size", "_last", "_pts", "_pos")
 
-    def __init__(self, key: tuple[int, int], kind: str, gap):
+    def __init__(self, key: tuple[int, int], gap):
         self._k0, self._k1 = key
-        self._kind = kind
         self._gap = gap
         self._block = 0
         self._size = _FIRST_BLOCK
@@ -114,7 +164,7 @@ class _KeyedStream:
         self._pos = 0
 
     def next_block(self) -> np.ndarray:
-        draws = _draw_block(self._k0, self._k1, self._block, self._size, self._kind)
+        draws = _draw_block(self._k0, self._k1, self._block, self._size)
         self._block += 1
         self._size = min(self._size * 4, _MAX_BLOCK)
         pts = self._last + np.cumsum(self._gap(draws))
@@ -149,8 +199,17 @@ class _KeyedStream:
         return p
 
 
+def _exp_gaps(u: np.ndarray, rate) -> np.ndarray:
+    """Exponential gaps ``-log1p(-u) / rate`` of intensity ``rate``, computed
+    in place over the uniforms ``u``."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    return np.divide(u, rate, out=u)
+
+
 def _recovery_stream(plan: RandomnessPlan, node: int, rate: float) -> _KeyedStream:
-    return _KeyedStream(plan.recovery_key(node), "exp", lambda d: d / rate)
+    return _KeyedStream(plan.recovery_key(node), lambda u: _exp_gaps(u, rate))
 
 
 @dataclass(frozen=True)
@@ -234,6 +293,15 @@ class StopRule:
 # The engine
 # ---------------------------------------------------------------------------
 
+def _check_stop(config: SystemConfig, stop: StopRule) -> None:
+    if stop.kind in (FIRST_RECEPTION, RECEPTION_COUNT):
+        if config.is_empty:
+            raise ValueError("reception stop rules need a nonempty chain")
+        if not config.left_node <= stop.node <= config.right_node:
+            raise ValueError(f"stop node {stop.node} outside "
+                             f"[{config.left_node}, {config.right_node}]")
+
+
 def simulate(config: SystemConfig, plan: RandomnessPlan, stop: StopRule) -> EventLog:
     """Run one chain realization; a pure function of its three arguments.
 
@@ -246,12 +314,7 @@ def simulate(config: SystemConfig, plan: RandomnessPlan, stop: StopRule) -> Even
     lo, hi = config.left_node, config.right_node
     n = hi - lo + 1
     permanent = config.input.is_permanent
-
-    if stop.kind in (FIRST_RECEPTION, RECEPTION_COUNT):
-        if n == 0:
-            raise ValueError("reception stop rules need a nonempty chain")
-        if not lo <= stop.node <= hi:
-            raise ValueError(f"stop node {stop.node} outside [{lo}, {hi}]")
+    _check_stop(config, stop)
     cap = stop.time if stop.kind == HORIZON else math.inf
 
     rates = config.node_rates()
@@ -260,7 +323,7 @@ def simulate(config: SystemConfig, plan: RandomnessPlan, stop: StopRule) -> Even
     on = bytearray(max(n, 1))
     heap = [(streams[j].next_after(0.0), j) for j in range(n)]
     heapq.heapify(heap)
-    ins = None if permanent else _KeyedStream(plan.input_key(), "uniform", config.input.quantile)
+    ins = None if permanent else _KeyedStream(plan.input_key(), config.input.quantile)
     next_in = math.inf if permanent else ins.next()
 
     stop_node = stop.node if stop.kind in (FIRST_RECEPTION, RECEPTION_COUNT) else None
@@ -420,17 +483,108 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 # Monte Carlo harnesses
 # ---------------------------------------------------------------------------
 
+# The batched kernel runs replications in chunks of at most _CHUNK_CELLS
+# (replication x node) cells, draws their first blocks _PHILOX_SLICE streams
+# at a time, and leaves the last _HANDOFF replications of a chunk to simulate.
+_CHUNK_CELLS = 2 ** 13
+_PHILOX_SLICE = 2 ** 10
+_HANDOFF = 2
+
+
 def sample_first_reception(config: SystemConfig, node: int, reps: int,
                            seed: int) -> EmpiricalDistribution:
-    """First reception time at ``node`` over independent replications."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    """First reception time at ``node`` over independent replications.
+
+    Replication r is ``simulate(config, RandomnessPlan(seed, r),
+    StopRule.first_reception_at(node)).horizon``, bit for bit; the samples
+    come back sorted.  Replications run in lockstep over the first block of
+    each of their streams; one that needs a 17th point of any stream is
+    handed to ``simulate``.
+    """
+    if not 1 <= reps <= 2 ** 32:
+        raise ValueError("reps must be in [1, 2**32]")
     stop = StopRule.first_reception_at(node)
+    _check_stop(config, stop)
+    RandomnessPlan(seed).recovery_key(config.right_node)   # seed and slots in range
     out = np.empty(reps, dtype=np.float64)
-    for r in range(reps):
-        log = simulate(config, RandomnessPlan(seed, r), stop)
-        out[r] = log.horizon
+    step = max(1, _CHUNK_CELLS // config.n_nodes)
+    for start in range(0, reps, step):
+        _first_reception_chunk(config, stop, seed, range(start, min(reps, start + step)), out)
     return EmpiricalDistribution.from_values(out)
+
+
+def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
+                           reps: range, out: np.ndarray) -> None:
+    """Write the horizons of replications ``reps`` into ``out``.
+
+    Between two receptions a chain only recovers, so one step moves every
+    running replication to its next reception: the last node's recovery
+    under permanent input, otherwise the first input at or after it (a
+    recovery wins a tie, as in ``simulate``).  The nodes recovered by then
+    are on, the maximal all-on suffix switches off, and each swept node waits
+    for the first point of its block after the reception.  A replication
+    that would read past the first block of a stream before it ends is
+    rerun by ``simulate``, and so are the last ``_HANDOFF`` of the chunk.
+    Every step sweeps the last node past one of its 16 points, so a chunk
+    takes at most 16 steps.
+    """
+    n, lo = config.n_nodes, config.left_node
+    key1 = np.arange(reps.start, reps.stop, dtype=np.uint64) << _SH32
+    slots = np.arange(lo + 1, lo + n + 1, dtype=np.uint64)
+    pts = _first_blocks(seed, (key1[:, None] | slots).ravel()).reshape(len(reps), n, _FIRST_BLOCK)
+    _exp_gaps(pts, np.array(config.node_rates())[:, None])
+    np.cumsum(pts, axis=2, out=pts)
+    ins = None
+    if not config.input.is_permanent:
+        ins = np.cumsum(config.input.quantile(_first_blocks(seed, key1)), axis=1)
+    # rec[r, j]: when node lo + j last turned or next turns on; on at t iff rec <= t
+    rec = _first_after(pts, 0.0)
+    rows = np.arange(len(reps))
+    left = stop.node - lo
+    spill = np.isnan(rec).any(axis=1)
+    rerun = [rows[spill]]
+    keep = ~spill
+    while True:
+        rows, rec = rows[keep], rec[keep]
+        if len(rows) <= _HANDOFF:
+            break
+        t = rec[:, -1].copy()
+        if ins is None:
+            spill = np.zeros(len(rows), dtype=bool)
+        else:
+            # inputs before the last node recovers are blocked; when the
+            # block has none after it, t stays before it and nothing is swept
+            i = (ins[rows] < t[:, None]).sum(axis=1)
+            spill = i == _FIRST_BLOCK
+            t = ins[rows, np.minimum(i, _FIRST_BLOCK - 1)]
+        swept = np.logical_and.accumulate(rec[:, ::-1] <= t[:, None], axis=1)[:, ::-1]
+        r, k = np.nonzero(swept)
+        rec[r, k] = nxt = _first_after(pts[rows[r], k], t[r])
+        spill[r[np.isnan(nxt)]] = True
+        done = swept[:, left]
+        out[reps.start + rows[done]] = t[done]
+        spill &= ~done
+        rerun.append(rows[spill])
+        keep = ~(done | spill)
+    for row in np.concatenate(rerun + [rows]).tolist():
+        r = reps.start + row
+        out[r] = simulate(config, RandomnessPlan(seed, r), stop).horizon
+
+
+def _first_blocks(seed: int, keys: np.ndarray) -> np.ndarray:
+    """Block 0 of the streams keyed ``(seed, keys[i])``, one row each."""
+    u = np.empty((len(keys), _FIRST_BLOCK))
+    for s in range(0, len(keys), _PHILOX_SLICE):
+        u[s:s + _PHILOX_SLICE] = _philox_uniforms(seed, keys[s:s + _PHILOX_SLICE], 0, _FIRST_BLOCK)
+    return u
+
+
+def _first_after(blocks: np.ndarray, t) -> np.ndarray:
+    """The first point of each block (last axis) after t; NaN past its end."""
+    pos = (blocks <= np.expand_dims(t, -1)).sum(axis=-1)
+    first = np.take_along_axis(blocks, np.minimum(pos, _FIRST_BLOCK - 1)[..., None], axis=-1)[..., 0]
+    first[pos == _FIRST_BLOCK] = np.nan
+    return first
 
 
 def sample_interreception(config: SystemConfig, node: int, gap_count: int,

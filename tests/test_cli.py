@@ -186,6 +186,19 @@ class TestExitCodes:
         assert code == 1
         assert f"usage error: bad {flag}" in err
 
+    def test_certify_needs_no_k(self, capsys):
+        code, out, _ = run_cli(["limit", "--rates", "linear:1", "--certify", "20"], capsys)
+        assert code == 0
+        assert "k,tau,tail_sum,rho,bound" in out.splitlines()
+        # node 2 has no certificate: a numerical refusal, not a usage error
+        code, _, err = run_cli(["limit", "--rates", "linear:1", "--certify", "2"], capsys)
+        assert code == 2 and "usage" not in err
+
+    def test_ladder_without_k_is_usage_error(self, capsys):
+        code, _, err = run_cli(["limit", "--rates", "linear:1", "--ladder", "4,8"], capsys)
+        assert code == 1
+        assert "usage error: limit --ladder needs --k" in err
+
     def test_numeric_error_is_two(self, capsys):
         # precision below the cancellation floor
         code, _, err = run_cli(["mean", "--n", "64", "--bits", "100"], capsys)

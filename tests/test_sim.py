@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,41 +42,59 @@ class TestGoldenStreams:
     RATES = core.RateSchedule.explicit([1.3, 2.7])
 
     def test_recovery_points_through_capped_blocks(self):
-        # 96267 points need eight blocks, the last two of 65536 draws each
+        # 95821 points need eight blocks, the last two of 65536 draws each
         pts = sim.RandomnessPlan(2024, 3).recovery_points(5, 16.0, 6000.0)
-        assert len(pts) == 96267
-        assert float(pts[0]) == 0.07978047633260608
-        assert float(pts[-1]) == 5999.991182848491
+        assert len(pts) == 95821
+        assert float(pts[0]) == 0.09344380676465514
+        assert float(pts[-1]) == 5999.931022308767
+
+    def test_recovery_gaps_invert_uniforms(self):
+        # block b of node i's stream: gaps -log1p(-u) / rate(i) of the uniforms
+        # of Philox keyed (seed, rep << 32 | (i + 1)) at counter word 2 = b
+        rate, upto = 16.0, 30.0
+        pts = sim.RandomnessPlan(2024, 3).recovery_points(5, rate, upto)
+        blocks, last = [], 0.0
+        for b, size in enumerate((16, 64, 256, 1024)):
+            bitgen = np.random.Philox(key=[2024, 3 << 32 | 6], counter=[0, 0, b, 0])
+            u = np.random.Generator(bitgen).random(size)
+            blocks.append(last + np.cumsum(-np.log1p(-u) / rate))
+            last = blocks[-1][-1]
+        expect = np.concatenate(blocks)
+        assert last > upto
+        assert np.array_equal(pts, expect[expect <= upto])
 
     @pytest.mark.parametrize("model, events", [
         (core.InputModel.exponential(1.5), [
             ("input", 0.09055987106059608, None, None),
-            ("recovery", 0.4730412727364153, 2, 2),
-            ("recovery", 0.5240412951312924, 1, 1),
+            ("recovery", 0.14588141556776296, 2, 2),
             ("input", 0.8598960908911734, None, None),
-            ("reception", 0.8598960908911734, 1, 2),
-            ("recovery", 0.8665528792733154, 2, 2),
+            ("reception", 0.8598960908911734, 2, 2),
+            ("recovery", 0.9081152741906175, 2, 2),
+            ("recovery", 1.414974266028494, 1, 1),
             ("input", 1.5372689791997107, None, None),
-            ("reception", 1.5372689791997107, 2, 2),
-            ("recovery", 1.5568686284625959, 2, 2),
+            ("reception", 1.5372689791997107, 1, 2),
+            ("recovery", 1.6100990139720524, 1, 1),
+            ("recovery", 1.6333638775097157, 2, 2),
         ]),
         (core.InputModel.deterministic(0.7), [
-            ("recovery", 0.4730412727364153, 2, 2),
-            ("recovery", 0.5240412951312924, 1, 1),
+            ("recovery", 0.14588141556776296, 2, 2),
             ("input", 0.7, None, None),
-            ("reception", 0.7, 1, 2),
-            ("recovery", 0.7852976052873002, 2, 2),
+            ("reception", 0.7, 2, 2),
+            ("recovery", 0.7793463416996607, 2, 2),
             ("input", 1.4, None, None),
             ("reception", 1.4, 2, 2),
-            ("recovery", 1.5568686284625959, 2, 2),
+            ("recovery", 1.414974266028494, 1, 1),
+            ("recovery", 1.6333638775097157, 2, 2),
         ]),
         (core.InputModel.empirical([0.2, 0.5, 1.0, 3.0]), [
+            ("recovery", 0.14588141556776296, 2, 2),
             ("input", 0.2, None, None),
-            ("recovery", 0.4730412727364153, 2, 2),
-            ("recovery", 0.5240412951312924, 1, 1),
+            ("reception", 0.2, 2, 2),
+            ("recovery", 0.39786076461063735, 2, 2),
             ("input", 1.2, None, None),
-            ("reception", 1.2, 1, 2),
-            ("recovery", 1.2076875534078375, 2, 2),
+            ("reception", 1.2, 2, 2),
+            ("recovery", 1.2878685828766843, 2, 2),
+            ("recovery", 1.414974266028494, 1, 1),
         ]),
     ], ids=["exp", "det", "empirical"])
     def test_short_log(self, model, events):
@@ -91,6 +110,114 @@ class TestGoldenStreams:
         assert log.events == [("input", 0.09055987106059608, None, None),
                               ("input", 0.8598960908911734, None, None),
                               ("input", 1.5372689791997107, None, None)]
+
+
+def per_rep_horizons(cfg, node, reps, seed):
+    stop = sim.StopRule.first_reception_at(node)
+    return sorted(sim.simulate(cfg, sim.RandomnessPlan(seed, r), stop).horizon
+                  for r in range(reps))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+_GRID_RATES = {
+    "explicit": lambda lo: core.RateSchedule.explicit([1.3, 0.4, 2.0, 0.9, 1.1, 3.0],
+                                                      first_index=lo),
+    "constant": lambda lo: core.RateSchedule.constant(1.0),
+    "linear": lambda lo: core.RateSchedule.linear(0.5),
+    "logsq": lambda lo: core.RateSchedule.log_square(),
+}
+_GRID_INPUTS = {
+    "permanent": core.InputModel.permanent(),
+    "exp": core.InputModel.exponential(1.7),
+    "det": core.InputModel.deterministic(0.3),
+    "empirical": core.InputModel.empirical([0.1, 0.5, 2.0]),
+}
+# parametric schedules start at node 1, so only explicit rates take lo = 0
+_GRID = [(rates, lo, model) for rates in _GRID_RATES for lo in (0, 2)
+         for model in _GRID_INPUTS if lo == 2 or rates == "explicit"]
+
+
+class TestBatchedKernel:
+    """The batched first-reception kernel against its oracle ``simulate``."""
+
+    def test_philox_matches_draw_block(self):
+        keys = [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0),
+                (2024, 3 << 32 | 6)]
+        key0 = np.array([k for k, _ in keys], dtype=np.uint64)
+        key1 = np.array([k for _, k in keys], dtype=np.uint64)
+        for block in range(8):
+            size = min(16 * 4**block, 65536)
+            got = sim._philox_uniforms(key0, key1, block, size)
+            assert got.shape == (len(keys), size)
+            for row, (k0, k1) in zip(got, keys):
+                assert np.array_equal(bits(row), bits(sim._draw_block(k0, k1, block, size)))
+
+    @pytest.mark.parametrize("rates, lo, model", _GRID,
+                             ids=[f"{r}-lo{lo}-{m}" for r, lo, m in _GRID])
+    def test_matches_per_rep_simulate(self, monkeypatch, rates, lo, model):
+        # 12 replications per chunk, so 40 replications span four chunks
+        monkeypatch.setattr(sim, "_CHUNK_CELLS", 72)
+        cfg = core.SystemConfig(lo, lo + 5, _GRID_RATES[rates](lo), _GRID_INPUTS[model])
+        for node in (lo, lo + 2, lo + 5):
+            got = sim.sample_first_reception(cfg, node, 40, seed=11)
+            assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, node, 40, 11)))
+
+    def test_several_chunks_at_default_sizes(self):
+        cfg = unit_chain(48, core.InputModel.permanent())
+        reps, seed = 3 * (sim._CHUNK_CELLS // 48) - 7, 2**64 - 1
+        got = sim.sample_first_reception(cfg, 1, reps, seed)
+        assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, reps, seed)))
+
+    @pytest.mark.parametrize("rates, model", [
+        # the fast right node recovers far more than 16 times before the
+        # slow left one does
+        ([0.05, 40.0], core.InputModel.permanent()),
+        # inputs arrive far more than 16 times before the node recovers
+        ([0.2], core.InputModel.exponential(40.0)),
+    ], ids=["recovery-stream", "input-stream"])
+    def test_spilled_replications_handed_to_simulate(self, monkeypatch, rates, model):
+        monkeypatch.setattr(sim, "_HANDOFF", 0)
+        calls = []
+        simulate = sim.simulate
+
+        def counted(*args):
+            calls.append(args[1].rep)
+            return simulate(*args)
+
+        monkeypatch.setattr(sim, "simulate", counted)
+        cfg = core.SystemConfig(1, len(rates), core.RateSchedule.explicit(rates), model)
+        got = sim.sample_first_reception(cfg, 1, 30, seed=3)
+        assert len(calls) >= 20
+        monkeypatch.setattr(sim, "simulate", simulate)
+        assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, 30, 3)))
+
+    @pytest.mark.parametrize("reps, seed", [(0, 1), (2**32 + 1, 1), (5, -1), (5, 2**64)],
+                             ids=["reps-low", "reps-high", "seed-low", "seed-high"])
+    def test_range_checked_before_any_work(self, monkeypatch, reps, seed):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated or drew before the range check")
+
+        monkeypatch.setattr(sim, "_first_reception_chunk", forbidden)
+        monkeypatch.setattr(sim.np, "empty", forbidden)
+        with pytest.raises(ValueError):
+            sim.sample_first_reception(unit_chain(2, core.InputModel.permanent()), 1, reps, seed)
+
+    def test_peak_memory_flat_in_reps(self):
+        cfg = unit_chain(2, core.InputModel.permanent())
+        chunk = sim._CHUNK_CELLS // 2
+        peaks = []
+        for reps in (2 * chunk, 10 * chunk):
+            tracemalloc.start()
+            try:
+                sim.sample_first_reception(cfg, 1, reps, seed=8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the output array and its sorted copy, 16 bytes per replication
+        assert peaks[1] - peaks[0] <= 16 * 8 * chunk + 2**16
 
 
 class TestPotentialPoints:
