@@ -37,7 +37,6 @@ __all__ = [
     "check_dynamics",
     "log_to_sequence",
     "validate_event_log",
-    "sequence_csv_lines",
 ]
 
 # Event kinds used in EventLog tuples (kind, time, node_lo, node_hi).
@@ -783,14 +782,3 @@ def log_to_sequence(log: EventLog, include_permanent_right: bool = False) -> Sig
         log.left_node, hi, log.horizon,
         {k: tuple(v) for k, v in receptions.items()},
         {k: tuple(v) for k, v in recoveries.items()})
-
-
-def sequence_csv_lines(seq: SignalRecoverySequence):
-    """Line-oriented serialization: kind,time,node_lo,node_hi."""
-    rows = []
-    for node in seq.nodes():
-        rows.extend((t, RECOVERY, node) for t in seq.recoveries[node])
-        rows.extend((t, RECEPTION, node) for t in seq.receptions[node][1:])
-    rows.sort()
-    for t, kind, node in rows:
-        yield f"{kind},{t!r},{node},{node}"

@@ -17,10 +17,11 @@ stream draws uniforms u in [0, 1) and nothing else: node i's recovery gaps
 are ``-log1p(-u) / rate(i)``, the input gaps the input law's quantile map.
 
 ``simulate`` is the event-log engine.  ``sample_first_reception`` runs
-replications in lockstep, reception by reception, over the first block of
-each of their streams, drawn by a numpy Philox that matches the scalar draw
-bit for bit; a replication that needs more is rerun by ``simulate``, so
-both give the same floats.
+replications in lockstep, reception by reception.  It draws block 0 of all
+their streams at once, by a numpy Philox that matches the scalar draw bit
+for bit, and each later block when a stream reaches it, carrying the running
+sum on as ``simulate`` does, so both give the same floats.  A replication
+that would need a block past a fixed budget is rerun by ``simulate``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ def _draw_block(key0: int, key1: int, block: int, size: int) -> np.ndarray:
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 65536
 
+
+def _block_size(block: int) -> int:
+    """Uniforms in block ``block`` of a stream: 16 * 4**block, at most 65536."""
+    return min(_FIRST_BLOCK * 4 ** block, _MAX_BLOCK)
+
+
 # Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11),
 # as used by numpy's Philox.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -147,26 +154,24 @@ def _philox_uniforms(key0, key1, block: int, size: int) -> np.ndarray:
 class _KeyedStream:
     """Running sums of gaps drawn block by block from one keyed stream.
 
-    Block b holds ``min(16 * 4**b, 65536)`` uniforms at counter word 2 = b;
-    ``gap`` maps the uniforms of a block to gaps.  The readers keep only the
-    current block.
+    Block b holds ``_block_size(b)`` uniforms at counter word 2 = b; ``gap``
+    maps the uniforms of a block to gaps.  The readers keep only the current
+    block.
     """
 
-    __slots__ = ("_k0", "_k1", "_gap", "_block", "_size", "_last", "_pts", "_pos")
+    __slots__ = ("_k0", "_k1", "_gap", "_block", "_last", "_pts", "_pos")
 
     def __init__(self, key: tuple[int, int], gap):
         self._k0, self._k1 = key
         self._gap = gap
         self._block = 0
-        self._size = _FIRST_BLOCK
         self._last = 0.0
         self._pts: list[float] = []
         self._pos = 0
 
     def next_block(self) -> np.ndarray:
-        draws = _draw_block(self._k0, self._k1, self._block, self._size)
+        draws = _draw_block(self._k0, self._k1, self._block, _block_size(self._block))
         self._block += 1
-        self._size = min(self._size * 4, _MAX_BLOCK)
         pts = self._last + np.cumsum(self._gap(draws))
         self._last = pts[-1]
         return pts
@@ -483,11 +488,14 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 # Monte Carlo harnesses
 # ---------------------------------------------------------------------------
 
-# The batched kernel runs replications in chunks of at most _CHUNK_CELLS
-# (replication x node) cells, draws their first blocks _PHILOX_SLICE streams
-# at a time, and leaves the last _HANDOFF replications of a chunk to simulate.
-_CHUNK_CELLS = 2 ** 13
+# The batched kernel runs replications in chunks that draw about
+# _CHUNK_POINTS stream points each.  It draws block 0 of their streams
+# _PHILOX_SLICE streams at a time and each later block, up to block
+# _LAST_BLOCK, when a stream needs it.  The last _HANDOFF replications of a
+# chunk are left to simulate.
+_CHUNK_POINTS = 2 ** 17
 _PHILOX_SLICE = 2 ** 10
+_LAST_BLOCK = 4
 _HANDOFF = 2
 
 
@@ -497,9 +505,9 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
 
     Replication r is ``simulate(config, RandomnessPlan(seed, r),
     StopRule.first_reception_at(node)).horizon``, bit for bit; the samples
-    come back sorted.  Replications run in lockstep over the first block of
-    each of their streams; one that needs a 17th point of any stream is
-    handed to ``simulate``.
+    come back sorted.  Replications run in lockstep and draw the blocks of
+    their streams as they reach them; one that needs a block past block
+    ``_LAST_BLOCK`` of any stream is handed to ``simulate``.
     """
     if not 1 <= reps <= 2 ** 32:
         raise ValueError("reps must be in [1, 2**32]")
@@ -507,38 +515,43 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
     _check_stop(config, stop)
     RandomnessPlan(seed).recovery_key(config.right_node)   # seed and slots in range
     out = np.empty(reps, dtype=np.float64)
-    step = max(1, _CHUNK_CELLS // config.n_nodes)
-    for start in range(0, reps, step):
-        _first_reception_chunk(config, stop, seed, range(start, min(reps, start + step)), out)
+    # the first chunk guesses 64 points per stream; each later one is sized
+    # by the points the chunk before it drew per replication
+    start, step = 0, max(1, _CHUNK_POINTS // (4 * _FIRST_BLOCK * config.n_nodes))
+    while start < reps:
+        end = min(reps, start + step)
+        drawn = _first_reception_chunk(config, stop, seed, range(start, end), out)
+        step = max(1, _CHUNK_POINTS * (end - start) // drawn)
+        start = end
     return EmpiricalDistribution.from_values(out)
 
 
 def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
-                           reps: range, out: np.ndarray) -> None:
-    """Write the horizons of replications ``reps`` into ``out``.
+                           reps: range, out: np.ndarray) -> int:
+    """Write the horizons of replications ``reps`` into ``out``; return the
+    number of stream points drawn.
 
     Between two receptions a chain only recovers, so one step moves every
     running replication to its next reception: the last node's recovery
     under permanent input, otherwise the first input at or after it (a
     recovery wins a tie, as in ``simulate``).  The nodes recovered by then
     are on, the maximal all-on suffix switches off, and each swept node waits
-    for the first point of its block after the reception.  A replication
-    that would read past the first block of a stream before it ends is
+    for the first point of its stream after the reception.  A replication
+    that would read past block ``_LAST_BLOCK`` of a stream before it ends is
     rerun by ``simulate``, and so are the last ``_HANDOFF`` of the chunk.
-    Every step sweeps the last node past one of its 16 points, so a chunk
-    takes at most 16 steps.
     """
     n, lo = config.n_nodes, config.left_node
     key1 = np.arange(reps.start, reps.stop, dtype=np.uint64) << _SH32
     slots = np.arange(lo + 1, lo + n + 1, dtype=np.uint64)
-    pts = _first_blocks(seed, (key1[:, None] | slots).ravel()).reshape(len(reps), n, _FIRST_BLOCK)
-    _exp_gaps(pts, np.array(config.node_rates())[:, None])
-    np.cumsum(pts, axis=2, out=pts)
+    rates = np.tile(np.array(config.node_rates()), len(reps))
+    recs = _StreamBatch(seed, (key1[:, None] | slots).ravel(),
+                        lambda u, s: _exp_gaps(u, rates[s, None]))
     ins = None
     if not config.input.is_permanent:
-        ins = np.cumsum(config.input.quantile(_first_blocks(seed, key1)), axis=1)
+        ins = _StreamBatch(seed, key1, lambda u, s: config.input.quantile(u))
     # rec[r, j]: when node lo + j last turned or next turns on; on at t iff rec <= t
-    rec = _first_after(pts, 0.0)
+    cells = np.arange(len(reps) * n)
+    rec = recs.after(cells, np.zeros(len(cells)), np.less_equal).reshape(len(reps), n)
     rows = np.arange(len(reps))
     left = stop.node - lo
     spill = np.isnan(rec).any(axis=1)
@@ -549,42 +562,100 @@ def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
         if len(rows) <= _HANDOFF:
             break
         t = rec[:, -1].copy()
-        if ins is None:
-            spill = np.zeros(len(rows), dtype=bool)
-        else:
-            # inputs before the last node recovers are blocked; when the
-            # block has none after it, t stays before it and nothing is swept
-            i = (ins[rows] < t[:, None]).sum(axis=1)
-            spill = i == _FIRST_BLOCK
-            t = ins[rows, np.minimum(i, _FIRST_BLOCK - 1)]
+        if ins is not None:
+            # inputs before the last node recovers are blocked
+            t = ins.after(rows, t, np.less)
+        spill = np.isnan(t)
         swept = np.logical_and.accumulate(rec[:, ::-1] <= t[:, None], axis=1)[:, ::-1]
-        r, k = np.nonzero(swept)
-        rec[r, k] = nxt = _first_after(pts[rows[r], k], t[r])
-        spill[r[np.isnan(nxt)]] = True
         done = swept[:, left]
         out[reps.start + rows[done]] = t[done]
-        spill &= ~done
+        r, k = np.nonzero(swept & ~done[:, None])
+        rec[r, k] = nxt = recs.after(rows[r] * n + k, t[r], np.less_equal)
+        spill[r[np.isnan(nxt)]] = True
         rerun.append(rows[spill])
         keep = ~(done | spill)
     for row in np.concatenate(rerun + [rows]).tolist():
         r = reps.start + row
         out[r] = simulate(config, RandomnessPlan(seed, r), stop).horizon
+    return recs.drawn + (0 if ins is None else ins.drawn)
 
 
-def _first_blocks(seed: int, keys: np.ndarray) -> np.ndarray:
-    """Block 0 of the streams keyed ``(seed, keys[i])``, one row each."""
-    u = np.empty((len(keys), _FIRST_BLOCK))
-    for s in range(0, len(keys), _PHILOX_SLICE):
-        u[s:s + _PHILOX_SLICE] = _philox_uniforms(seed, keys[s:s + _PHILOX_SLICE], 0, _FIRST_BLOCK)
-    return u
+class _StreamBatch:
+    """The keyed streams ``(seed, keys[i])`` of a chunk, read block by block
+    as ``_KeyedStream`` reads one.
 
+    Block 0 of every stream is drawn up front by ``_philox_uniforms``.  When
+    a lookup passes the end of a stream's block b, block b + 1 is drawn by
+    ``_draw_block`` and its running sum goes on from block b's last point.
+    The blocks of one index share a store that grows geometrically, so
+    lookups are grouped by block index.  ``gap(u, s)`` maps the uniforms of
+    streams ``s``, one row each, to gaps.
+    """
 
-def _first_after(blocks: np.ndarray, t) -> np.ndarray:
-    """The first point of each block (last axis) after t; NaN past its end."""
-    pos = (blocks <= np.expand_dims(t, -1)).sum(axis=-1)
-    first = np.take_along_axis(blocks, np.minimum(pos, _FIRST_BLOCK - 1)[..., None], axis=-1)[..., 0]
-    first[pos == _FIRST_BLOCK] = np.nan
-    return first
+    def __init__(self, seed: int, keys: np.ndarray, gap):
+        self._seed, self._keys, self._gap = seed, keys, gap
+        every = np.arange(len(keys))
+        u = np.empty((len(keys), _FIRST_BLOCK))
+        for s in range(0, len(keys), _PHILOX_SLICE):
+            u[s:s + _PHILOX_SLICE] = _philox_uniforms(seed, keys[s:s + _PHILOX_SLICE], 0, _FIRST_BLOCK)
+        u = gap(u, every)
+        np.cumsum(u, axis=1, out=u)
+        self._stores = [u] + [np.empty((0, _block_size(b))) for b in range(1, _LAST_BLOCK + 1)]
+        self._fill = [len(keys)] + [0] * _LAST_BLOCK
+        self._block = np.zeros(len(keys), dtype=np.intp)
+        self._slot = every
+        self.drawn = u.size
+
+    def after(self, s: np.ndarray, t: np.ndarray, before) -> np.ndarray:
+        """The first point p of each stream s[i] with ``not before(p, t[i])``,
+        drawing later blocks as needed; NaN where that is past block
+        ``_LAST_BLOCK``.  ``np.less_equal`` gives the first point after t,
+        ``np.less`` the first point at or after t."""
+        out = np.full(len(s), np.nan)
+        todo = np.arange(len(s))
+        while len(todo):
+            block = self._block[s[todo]]
+            ended = []
+            for b in np.flatnonzero(np.bincount(block)).tolist():
+                g = todo[block == b]
+                pts = self._stores[b][self._slot[s[g]]]
+                pos = before(pts, t[g, None]).sum(axis=1)
+                hit = pos < pts.shape[1]
+                out[g[hit]] = pts[hit, pos[hit]]
+                ended.append(g[~hit])
+            todo = np.concatenate(ended)
+            todo = todo[self._next_blocks(s[todo])]
+        return out
+
+    def _next_blocks(self, s: np.ndarray) -> np.ndarray:
+        """Draw the next block of each stream s[i] not yet at block
+        ``_LAST_BLOCK``; return which ones were drawn."""
+        drawn = self._block[s] < _LAST_BLOCK
+        s = s[drawn]
+        block = self._block[s]
+        for b in np.flatnonzero(np.bincount(block)).tolist():
+            g = s[block == b]
+            size = self._stores[b + 1].shape[1]
+            u = np.array([_draw_block(self._seed, key, b + 1, size)
+                          for key in self._keys[g].tolist()])
+            u = self._gap(u, g)
+            np.cumsum(u, axis=1, out=u)
+            u += self._stores[b][self._slot[g], -1:]
+            self._slot[g] = self._append(b + 1, u)
+            self._block[g] = b + 1
+            self.drawn += u.size
+        return drawn
+
+    def _append(self, b: int, pts: np.ndarray) -> np.ndarray:
+        """Store rows ``pts`` of block b; return their slots."""
+        store, fill = self._stores[b], self._fill[b]
+        if fill + len(pts) > len(store):
+            grown = np.empty((max(2 * len(store), fill + len(pts)), store.shape[1]))
+            grown[:fill] = store[:fill]
+            self._stores[b] = store = grown
+        store[fill:fill + len(pts)] = pts
+        self._fill[b] = fill + len(pts)
+        return np.arange(fill, fill + len(pts))
 
 
 def sample_interreception(config: SystemConfig, node: int, gap_count: int,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onoffchain import analytic, core, sim
+from onoffchain import analytic, core, limit, sim
 
 
 def unit_chain(n, input_model, lo=1):
@@ -158,8 +158,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("rates, lo, model", _GRID,
                              ids=[f"{r}-lo{lo}-{m}" for r, lo, m in _GRID])
     def test_matches_per_rep_simulate(self, monkeypatch, rates, lo, model):
-        # 12 replications per chunk, so 40 replications span four chunks
-        monkeypatch.setattr(sim, "_CHUNK_CELLS", 72)
+        # chunks of a few replications, so 40 replications span several
+        monkeypatch.setattr(sim, "_CHUNK_POINTS", 2048)
         cfg = core.SystemConfig(lo, lo + 5, _GRID_RATES[rates](lo), _GRID_INPUTS[model])
         for node in (lo, lo + 2, lo + 5):
             got = sim.sample_first_reception(cfg, node, 40, seed=11)
@@ -167,18 +167,21 @@ class TestBatchedKernel:
 
     def test_several_chunks_at_default_sizes(self):
         cfg = unit_chain(48, core.InputModel.permanent())
-        reps, seed = 3 * (sim._CHUNK_CELLS // 48) - 7, 2**64 - 1
+        reps, seed = 3 * (sim._CHUNK_POINTS // (48 * sim._FIRST_BLOCK)) - 7, 2**64 - 1
         got = sim.sample_first_reception(cfg, 1, reps, seed)
         assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, reps, seed)))
 
     @pytest.mark.parametrize("rates, model", [
-        # the fast right node recovers far more than 16 times before the
+        # the fast right node recovers far more than 80 times before the
         # slow left one does
         ([0.05, 40.0], core.InputModel.permanent()),
-        # inputs arrive far more than 16 times before the node recovers
-        ([0.2], core.InputModel.exponential(40.0)),
+        # inputs arrive far more than 80 times before the node recovers
+        ([0.05], core.InputModel.exponential(40.0)),
     ], ids=["recovery-stream", "input-stream"])
     def test_spilled_replications_handed_to_simulate(self, monkeypatch, rates, model):
+        # a budget of blocks 0 and 1 (80 points) stands in for the real one,
+        # which these chains would pass only after many more events
+        monkeypatch.setattr(sim, "_LAST_BLOCK", 1)
         monkeypatch.setattr(sim, "_HANDOFF", 0)
         calls = []
         simulate = sim.simulate
@@ -207,7 +210,7 @@ class TestBatchedKernel:
 
     def test_peak_memory_flat_in_reps(self):
         cfg = unit_chain(2, core.InputModel.permanent())
-        chunk = sim._CHUNK_CELLS // 2
+        chunk = sim._CHUNK_POINTS // (2 * sim._FIRST_BLOCK)
         peaks = []
         for reps in (2 * chunk, 10 * chunk):
             tracemalloc.start()
@@ -218,6 +221,78 @@ class TestBatchedKernel:
                 tracemalloc.stop()
         # the output array and its sorted copy, 16 bytes per replication
         assert peaks[1] - peaks[0] <= 16 * 8 * chunk + 2**16
+
+    def test_ladder_rung_peak_memory(self):
+        # later blocks stay within the chunk point budget; the warm-up call
+        # keeps one-time imports and caches out of the measured peak
+        rates = core.RateSchedule.linear(1.0)
+        limit.sample_truncation_law(1, 32, rates, 20, seed=5)
+        tracemalloc.start()
+        try:
+            limit.sample_truncation_law(1, 32, rates, 400, seed=31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
+    @pytest.mark.parametrize("seed", [7, 2**64 - 1], ids=["seed7", "seed-max"])
+    @pytest.mark.parametrize("k, l, reps", [(1, 32, 100), (50, 200, 60)],
+                             ids=["l32", "criterion9-k50"])
+    def test_truncation_ladder_in_lockstep(self, monkeypatch, k, l, reps, seed):
+        # the reduced chains that limit.sample_truncation_law samples read
+        # later blocks of nearly every input stream and of the fast nodes'
+        # recovery streams; none of their replications leaves the kernel
+        # except the chunk tails
+        cfg = analytic.permanent_reduce(core.SystemConfig(
+            k, l, core.RateSchedule.linear(1.0), core.InputModel.permanent()))
+        reruns, per_chunk = [], []
+        simulate, chunk = sim.simulate, sim._first_reception_chunk
+
+        def counted_simulate(*args):
+            reruns.append(args[1].rep)
+            return simulate(*args)
+
+        def counted_chunk(*args):
+            before = len(reruns)
+            drawn = chunk(*args)
+            per_chunk.append(len(reruns) - before)
+            return drawn
+
+        monkeypatch.setattr(sim, "simulate", counted_simulate)
+        monkeypatch.setattr(sim, "_first_reception_chunk", counted_chunk)
+        got = sim.sample_first_reception(cfg, k, reps, seed)
+        monkeypatch.undo()
+        assert len(per_chunk) >= 2
+        assert max(per_chunk) <= sim._HANDOFF
+        assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, k, reps, seed)))
+
+    @pytest.mark.parametrize("kind", ["recovery", "exp-input", "empirical-input"])
+    def test_later_blocks_continue_keyed_streams(self, monkeypatch, kind):
+        # the points a lookup reads in block b = 1..3 are those of the b-th
+        # next_block() of the same stream read alone, bit for bit
+        monkeypatch.setattr(sim, "_LAST_BLOCK", 3)
+        seed, reps = 2**64 - 1, 5
+        plans = [sim.RandomnessPlan(seed, r) for r in range(reps)]
+        if kind == "recovery":
+            keys = [plan.recovery_key(4) for plan in plans]
+            streams = [sim._recovery_stream(plan, 4, 2.5) for plan in plans]
+            gap = lambda u, s: sim._exp_gaps(u, 2.5)
+        else:
+            model = (core.InputModel.exponential(1.7) if kind == "exp-input"
+                     else core.InputModel.empirical([0.1, 0.5, 2.0]))
+            keys = [plan.input_key() for plan in plans]
+            streams = [sim._KeyedStream(key, model.quantile) for key in keys]
+            gap = lambda u, s: model.quantile(u)
+        batch = sim._StreamBatch(seed, np.array([k1 for _, k1 in keys], dtype=np.uint64), gap)
+        want = np.concatenate([np.array([stream.next_block() for stream in streams])
+                               for _ in range(4)], axis=1)
+        got = np.empty_like(want)
+        every, t = np.arange(reps), np.full(reps, -np.inf)
+        for j in range(want.shape[1]):
+            got[:, j] = t = batch.after(every, t, np.less_equal)
+        assert np.array_equal(bits(got), bits(want))
+        # past block 3 the batch refuses
+        assert np.isnan(batch.after(every, t, np.less_equal)).all()
 
 
 class TestPotentialPoints:
