@@ -39,6 +39,7 @@ from .sim import (
     ks_statistic,
     sample_first_reception,
     simulate,
+    _reception_times,
 )
 from .analytic import permanent_reduce
 
@@ -431,20 +432,18 @@ def sample_extension(k: int, l: int, horizon: float, rates: RateSchedule,
                       f"k={k}; prefer l >= 4k")
     _warn_if_not_case4(rates)
 
-    def run(ll: int) -> EventLog:
-        cfg = SystemConfig(1, ll, rates, InputModel.permanent())
-        return simulate(cfg, RandomnessPlan(seed, 0), StopRule.horizon(horizon))
+    plan, stop = RandomnessPlan(seed, 0), StopRule.horizon(horizon)
 
-    log_l = run(l)
-    log_2l = run(2 * l)
+    def chain(ll: int) -> SystemConfig:
+        return SystemConfig(1, ll, rates, InputModel.permanent())
 
-    def gaps(log: EventLog) -> EmpiricalDistribution:
-        times = log.receptions_at(k)
-        if not times:
+    def gaps(times) -> EmpiricalDistribution:
+        if not len(times):
             raise ValueError(f"no receptions at node {k} within the horizon; "
                              f"extend it")
-        return EmpiricalDistribution.from_values(
-            np.diff(np.concatenate([[0.0], np.asarray(times)])))
+        return EmpiricalDistribution.from_values(np.diff(times, prepend=0.0))
 
-    ks = ks_statistic(gaps(log_l), gaps(log_2l))
+    log_l = simulate(chain(l), plan, stop)
+    times_2l = _reception_times(chain(2 * l), plan, stop, k)[0]
+    ks = ks_statistic(gaps(log_l.receptions_at(k)), gaps(times_2l))
     return ExtensionSample(log_l.restrict(k), ks)

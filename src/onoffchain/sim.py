@@ -16,21 +16,28 @@ replications need no coordination and are embarrassingly parallel.  Every
 stream draws uniforms u in [0, 1) and nothing else: node i's recovery gaps
 are ``-log1p(-u) / rate(i)``, the input gaps the input law's quantile map.
 
-``simulate`` is the event-log engine.  ``sample_first_reception`` runs
-replications in lockstep, reception by reception.  It draws block 0 of all
-their streams at once, by a numpy Philox that matches the scalar draw bit
-for bit, and each later block when a stream reaches it, carrying the running
-sum on as ``simulate`` does, so both give the same floats.  A replication
-that would need a block past a fixed budget is rerun by ``simulate``.
+``simulate`` computes a run node by node from the right end.  A signal runs
+left only along on nodes, so a node receives exactly those receptions of its
+right neighbour that find it on: it receives at the first of them at or
+after its recovery (a recovery wins a tie), then recovers at the first point
+of its stream after that reception.  One ``searchsorted`` applies this rule
+to a whole window of signals.  The realized streams, and the order of the
+events within an instant, are those of an event-by-event loop, which the
+tests keep as the oracle.
+
+``sample_first_reception`` runs replications in lockstep, reception by
+reception.  It draws block 0 of all their streams at once, by a numpy Philox
+that matches the scalar draw bit for bit, and each later block when a stream
+reaches it, carrying the running sum on as ``simulate`` does, so both give
+the same floats.  A replication that would need a block past a fixed budget
+is rerun by the engine of ``simulate``, which then builds no log.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,53 +162,25 @@ class _KeyedStream:
     """Running sums of gaps drawn block by block from one keyed stream.
 
     Block b holds ``_block_size(b)`` uniforms at counter word 2 = b; ``gap``
-    maps the uniforms of a block to gaps.  The readers keep only the current
-    block.
+    maps the uniforms of a block to gaps.
     """
 
-    __slots__ = ("_k0", "_k1", "_gap", "_block", "_last", "_pts", "_pos")
+    __slots__ = ("_k0", "_k1", "_gap", "_block", "_last")
 
     def __init__(self, key: tuple[int, int], gap):
         self._k0, self._k1 = key
         self._gap = gap
         self._block = 0
         self._last = 0.0
-        self._pts: list[float] = []
-        self._pos = 0
 
     def next_block(self) -> np.ndarray:
         draws = _draw_block(self._k0, self._k1, self._block, _block_size(self._block))
         self._block += 1
-        pts = self._last + np.cumsum(self._gap(draws))
+        pts = self._gap(draws)          # a new array, or the draws
+        pts.cumsum(out=pts)
+        pts += self._last
         self._last = pts[-1]
         return pts
-
-    def next(self) -> float:
-        """The next time of the stream."""
-        pos = self._pos
-        if pos == len(self._pts):
-            self._pts = self.next_block().tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._pts[pos]
-
-    def next_after(self, t: float) -> float:
-        """First time strictly greater than t.
-
-        Queries arrive in nondecreasing order (each node's switch-off times
-        increase), so consumed times stay behind a moving cursor.
-        """
-        pts = self._pts
-        while not pts or pts[-1] <= t:
-            pts = self._pts = self.next_block().tolist()
-            self._pos = 0
-        pos = self._pos
-        p = pts[pos]
-        if p <= t:
-            pos = bisect_right(pts, t, pos + 1)
-            p = pts[pos]
-            self._pos = pos
-        return p
 
 
 def _exp_gaps(u: np.ndarray, rate) -> np.ndarray:
@@ -209,8 +188,7 @@ def _exp_gaps(u: np.ndarray, rate) -> np.ndarray:
     in place over the uniforms ``u``."""
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    np.negative(u, out=u)
-    return np.divide(u, rate, out=u)
+    return np.divide(u, np.negative(rate), out=u)
 
 
 def _recovery_stream(plan: RandomnessPlan, node: int, rate: float) -> _KeyedStream:
@@ -307,6 +285,131 @@ def _check_stop(config: SystemConfig, stop: StopRule) -> None:
                              f"[{config.left_node}, {config.right_node}]")
 
 
+class _Node:
+    """One node's potential recovery points after the last signal offered to
+    it, drawn block by block.
+
+    The node is on at a signal a exactly when it has a point in (a', a], a'
+    being the signal offered before a (0 before the first): if a' switched
+    it off, its next point turns it on again, and if it was off at a', it
+    still has no point after its last reception.  So one ``searchsorted`` of
+    a window of signals in the points filters the whole window.
+    """
+
+    __slots__ = ("_stream", "_pts", "first")
+
+    def __init__(self, stream: _KeyedStream):
+        self._stream = stream
+        self._pts = pts = stream.next_block()
+        if pts[0] <= 0.0:
+            pts = self._cover(0.0)
+            self._pts = pts = pts[pts.searchsorted(0.0, "right"):]
+        self.first = pts[:1]                # its first recovery, as an array
+
+    def _cover(self, t: float) -> np.ndarray:
+        """The buffered points, drawn on until the last one is after t."""
+        pts = self._pts
+        while pts[-1] <= t:
+            pts = np.concatenate((pts, self._stream.next_block()))
+        return pts
+
+    def receive(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the signals ``a`` (nonempty, ascending, none before a
+        signal offered earlier) the node receives, as a mask, and its
+        recovery after each reception."""
+        pts = self._pts
+        if pts[-1] <= a[-1]:
+            pts = self._cover(a[-1])
+        c = pts.searchsorted(a, "right")
+        hit = np.empty(len(a), dtype=bool)
+        hit[0] = c[0] > 0
+        np.greater(c[1:], c[:-1], out=hit[1:])
+        self._pts = pts[c[-1]:]
+        return hit, pts[c[hit]]
+
+
+def _cascade(config: SystemConfig, plan: RandomnessPlan, stop: StopRule, first: int):
+    """The run ``simulate(config, plan, stop)`` on the nodes from ``first`` to
+    the right end: ``(horizon, inputs, got, recovered)``.
+
+    ``inputs`` holds the signal times at the right end up to the horizon
+    (under a reception stop, up to the signal that ends the run).
+    ``got[j]`` and ``recovered[j]`` list, window by window, the receptions
+    (as indices into ``inputs``) and the recovery times of node
+    ``left_node + j``; they may run past the horizon, and ``_joined`` cuts
+    them.
+
+    Node j receives exactly those receptions of node j + 1 that find it on,
+    and no node acts on the nodes to its right, so the nodes are filtered
+    from right to left (``_Node.receive``).  Time advances in windows, one
+    block of the top stream each and the first two blocks in the first: the
+    top stream is the input stream, or under permanent input the last node's
+    recovery stream, whose points are all its receptions.  A window ends at
+    the first node that receives nothing in it.  A reception stop ends the
+    run in the window of its last reception, and the nodes left of the stop
+    node see that window only up to it.
+    """
+    lo, n = config.left_node, config.n_nodes
+    rates = config.node_rates()
+    permanent = config.input.is_permanent
+    cap, stop_j, want = stop.time, -1, 0
+    if stop.kind != HORIZON:
+        cap, stop_j = math.inf, stop.node - lo
+        want = stop.count if stop.kind == RECEPTION_COUNT else 1
+    first -= lo
+    # nodes first..right filter their signals; under permanent input the
+    # last node receives at each of its points, after the one before
+    if permanent:
+        top, right = _recovery_stream(plan, lo + n - 1, rates[-1]), n - 2
+    else:
+        top, right = _KeyedStream(plan.input_key(), config.input.quantile), n - 1
+    nodes = {j: _Node(_recovery_stream(plan, lo + j, rates[j])) for j in range(first, right + 1)}
+    got = {j: [np.empty(0, dtype=np.intp)] for j in range(first, n)}
+    recovered = {j: [node.first] for j, node in nodes.items()}
+    inputs, offset, seen, horizon, end, last, done = [], 0, 0, cap, None, 0.0, False
+    while not done:
+        block = top.next_block()
+        if not inputs:
+            # 16 signals seldom reach the stop node of a deep chain, and the
+            # nodes they do reach would be filtered twice
+            block = np.concatenate((block, top.next_block()))
+        if block[-1] > cap:
+            block = block[:block.searchsorted(cap, "right")]
+            done = True
+        if permanent and len(block):
+            keep = np.empty(len(block), dtype=bool)
+            keep[0] = block[0] > last
+            np.greater(block[1:], block[:-1], out=keep[1:])
+            last = block[-1]
+            block = block[keep]
+        inputs.append(block)
+        a, ids = block, np.arange(offset, offset + len(block))
+        offset += len(block)
+        for j in range(n - 1, first - 1, -1):
+            if not len(a):
+                break
+            if j <= right:
+                hit, rec = nodes[j].receive(a)
+                a, ids = a[hit], ids[hit]
+                recovered[j].append(rec)
+            if j == stop_j:
+                if seen + len(a) >= want:
+                    a, ids = a[:want - seen], ids[:want - seen]
+                    horizon, end, done = float(a[-1]), ids[-1] + 1, True
+                seen += len(a)
+            got[j].append(ids)
+    inputs = np.concatenate(inputs)[:end]
+    if permanent:
+        recovered[n - 1] = [inputs]
+    return horizon, inputs, got, recovered
+
+
+def _joined(parts: list, v) -> np.ndarray:
+    """The ascending concatenation of ``parts``, cut after its last entry <= v."""
+    x = np.concatenate(parts)
+    return x[:x.searchsorted(v, "right")]
+
+
 def simulate(config: SystemConfig, plan: RandomnessPlan, stop: StopRule) -> EventLog:
     """Run one chain realization; a pure function of its three arguments.
 
@@ -314,65 +417,45 @@ def simulate(config: SystemConfig, plan: RandomnessPlan, stop: StopRule) -> Even
     only when its node is off; signals switch off the maximal all-on suffix.
     Under permanent input the rightmost node receives a signal at each of its
     recoveries, recorded as a recovery/input/reception tick sharing one
-    timestamp.
+    timestamp.  The chain is computed node by node from the right
+    (``_cascade``): a node receives at the first signal at or after its
+    recovery (a recovery wins a tie) and recovers at the first point of its
+    stream after that reception.  The events are then ordered by time, and
+    within an instant as recoveries (by node), the input, its reception.
     """
-    lo, hi = config.left_node, config.right_node
-    n = hi - lo + 1
-    permanent = config.input.is_permanent
     _check_stop(config, stop)
-    cap = stop.time if stop.kind == HORIZON else math.inf
+    lo, hi, n = config.left_node, config.right_node, config.n_nodes
+    horizon, inputs, got, recovered = _cascade(config, plan, stop, lo)
+    # a reception block reaches from its leftmost receiving node to hi
+    left = np.full(len(inputs), n)
+    for j in range(n - 1, -1, -1):
+        left[_joined(got[j], len(inputs) - 1)] = j
+    blocks = np.flatnonzero(left < n)
+    left = left[blocks] + lo
+    recovered = [_joined(recovered[j], horizon) for j in range(n)]
+    rec_node = np.repeat(np.arange(lo, hi + 1), [len(r) for r in recovered])
+    sizes = (len(rec_node), len(inputs), len(blocks))
+    time = np.concatenate(recovered + [inputs, inputs[blocks]])
+    # within an instant: the recoveries by node, then each input followed by
+    # its reception
+    tie = np.concatenate((rec_node - hi - 1, 2 * np.arange(len(inputs)), 2 * blocks + 1))
+    order = np.lexsort((tie, time))
+    rec_node = rec_node.astype(object)
+    none = np.full(len(inputs), None)
+    node_lo = np.concatenate((rec_node, none, left.astype(object)))
+    node_hi = np.concatenate((rec_node, none, np.full(len(blocks), hi, dtype=object)))
+    kind = np.repeat(np.array([RECOVERY, INPUT, RECEPTION], dtype=object), sizes)
+    events = zip(kind[order].tolist(), time[order].tolist(),
+                 node_lo[order].tolist(), node_hi[order].tolist())
+    return EventLog(lo, hi, horizon, config.input.is_permanent, list(events))
 
-    rates = config.node_rates()
-    streams = [_recovery_stream(plan, lo + j, rates[j]) for j in range(n)]
-    # an empty chain reads on[-1] == 0, so its inputs reach no node
-    on = bytearray(max(n, 1))
-    heap = [(streams[j].next_after(0.0), j) for j in range(n)]
-    heapq.heapify(heap)
-    ins = None if permanent else _KeyedStream(plan.input_key(), config.input.quantile)
-    next_in = math.inf if permanent else ins.next()
 
-    stop_node = stop.node if stop.kind in (FIRST_RECEPTION, RECEPTION_COUNT) else None
-    want = stop.count if stop.kind == RECEPTION_COUNT else (1 if stop.kind == FIRST_RECEPTION else 0)
-    events: list[tuple] = []
-    seen = 0
-    horizon = cap
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    while True:
-        t_rec = heap[0][0] if heap else math.inf
-        if t_rec <= next_in:
-            if t_rec > cap:
-                break
-            t, j = pop(heap)
-            on[j] = 1
-            events.append((RECOVERY, t, lo + j, lo + j))
-            if not (permanent and j == n - 1):
-                continue
-            events.append((INPUT, t, None, None))
-        else:
-            t = next_in
-            if t > cap:
-                break
-            events.append((INPUT, t, None, None))
-            next_in = ins.next()
-            if not on[n - 1]:
-                continue
-        # sweep the maximal all-on suffix
-        a = n - 1
-        while a > 0 and on[a - 1]:
-            a -= 1
-        events.append((RECEPTION, t, lo + a, hi))
-        for k in range(a, n):
-            on[k] = 0
-            push(heap, (streams[k].next_after(t), k))
-        if stop_node is not None and lo + a <= stop_node:
-            seen += 1
-            if seen >= want:
-                horizon = t
-                break
-
-    return EventLog(lo, hi, horizon, permanent, events)
+def _reception_times(config: SystemConfig, plan: RandomnessPlan, stop: StopRule,
+                     node: int) -> tuple[np.ndarray, float]:
+    """The reception times at ``node`` and the horizon of ``simulate(config,
+    plan, stop)``, computed only on the nodes they depend on."""
+    horizon, inputs, got, _ = _cascade(config, plan, stop, node)
+    return inputs[_joined(got[node - config.left_node], len(inputs) - 1)], horizon
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +575,7 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 # _CHUNK_POINTS stream points each.  It draws block 0 of their streams
 # _PHILOX_SLICE streams at a time and each later block, up to block
 # _LAST_BLOCK, when a stream needs it.  The last _HANDOFF replications of a
-# chunk are left to simulate.
+# chunk are left to the engine of simulate.
 _CHUNK_POINTS = 2 ** 17
 _PHILOX_SLICE = 2 ** 10
 _LAST_BLOCK = 4
@@ -507,7 +590,8 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
     StopRule.first_reception_at(node)).horizon``, bit for bit; the samples
     come back sorted.  Replications run in lockstep and draw the blocks of
     their streams as they reach them; one that needs a block past block
-    ``_LAST_BLOCK`` of any stream is handed to ``simulate``.
+    ``_LAST_BLOCK`` of any stream is rerun by the engine of ``simulate``
+    (``_reception_times``), which builds no log.
     """
     if not 1 <= reps <= 2 ** 32:
         raise ValueError("reps must be in [1, 2**32]")
@@ -538,7 +622,8 @@ def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
     are on, the maximal all-on suffix switches off, and each swept node waits
     for the first point of its stream after the reception.  A replication
     that would read past block ``_LAST_BLOCK`` of a stream before it ends is
-    rerun by ``simulate``, and so are the last ``_HANDOFF`` of the chunk.
+    rerun by ``_reception_times``, and so are the last ``_HANDOFF`` of the
+    chunk.
     """
     n, lo = config.n_nodes, config.left_node
     key1 = np.arange(reps.start, reps.stop, dtype=np.uint64) << _SH32
@@ -576,7 +661,7 @@ def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
         keep = ~(done | spill)
     for row in np.concatenate(rerun + [rows]).tolist():
         r = reps.start + row
-        out[r] = simulate(config, RandomnessPlan(seed, r), stop).horizon
+        out[r] = _reception_times(config, RandomnessPlan(seed, r), stop, stop.node)[1]
     return recs.drawn + (0 if ins is None else ins.drawn)
 
 
@@ -669,19 +754,18 @@ def sample_interreception(config: SystemConfig, node: int, gap_count: int,
     """
     if gap_count < 1:
         raise ValueError("gap_count must be >= 1")
-    plan = RandomnessPlan(seed, 0)
     if max_horizon is None:
-        log = simulate(config, plan, StopRule.reception_count(node, gap_count))
+        stop = StopRule.reception_count(node, gap_count)
     else:
-        log = simulate(config, plan, StopRule.horizon(max_horizon))
-    times = log.receptions_at(node)[:gap_count]
+        stop = StopRule.horizon(max_horizon)
+    _check_stop(config, StopRule.first_reception_at(node))
+    times = _reception_times(config, RandomnessPlan(seed, 0), stop, node)[0][:gap_count]
     if len(times) < gap_count:
         warnings.warn(f"only {len(times)} of {gap_count} receptions observed "
                       f"before the horizon; returning a partial sample")
-    if not times:
+    if not len(times):
         raise ValueError("no receptions observed; cannot form gaps")
-    gaps = np.diff(np.concatenate([[0.0], np.asarray(times)]))
-    return EmpiricalDistribution.from_values(gaps)
+    return EmpiricalDistribution.from_values(np.diff(times, prepend=0.0))
 
 
 def coupled_compare(config_a: SystemConfig, config_b: SystemConfig, seed: int,

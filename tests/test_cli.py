@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -88,6 +89,21 @@ class TestCommands:
         assert any(l.startswith("# seed: 7") for l in lines)
         assert "kind,time,node_lo,node_hi" in lines
         assert any(l.startswith("reception,") for l in lines)
+
+    @pytest.mark.parametrize("argv, lines, sha256", [
+        (["--input", "permanent", "--stop", "horizon:10"], 122,
+         "3626812e88d32addb12db38c75db85201de62408128f69770e6487e14fe461b5"),
+        (["--input", "exp:1.5", "--stop", "count:1,200"], 1800,
+         "2d78e3d55d4a79f235b5e88ea4d54466d381979188dfdcb3239f12cefdee4064"),
+    ], ids=["readme-permanent-horizon", "exp-count"])
+    def test_simulate_artifact_pinned(self, capsys, argv, lines, sha256):
+        # the bytes of two event-log artifacts, as the heap-loop engine wrote
+        # them: an engine change may not move a single byte
+        code, out, _ = run_cli(["simulate", "--rates", "explicit:1,2,3", "--seed", "7"] + argv,
+                               capsys)
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_simulate_sampling_mode(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,8 @@
+import heapq
 import math
 import tracemalloc
 import warnings
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -112,6 +114,91 @@ class TestGoldenStreams:
                               ("input", 1.5372689791997107, None, None)]
 
 
+class _Cursor:
+    """Reads one keyed stream point by point: ``next`` gives every point in
+    turn, ``next_after(t)`` the first point after t, for nondecreasing t."""
+
+    def __init__(self, stream):
+        self._stream, self._pts, self._pos = stream, [], 0
+
+    def next(self):
+        pos = self._pos
+        if pos == len(self._pts):
+            self._pts = self._stream.next_block().tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._pts[pos]
+
+    def next_after(self, t):
+        pts = self._pts
+        while not pts or pts[-1] <= t:
+            pts = self._pts = self._stream.next_block().tolist()
+            self._pos = 0
+        pos = self._pos
+        p = pts[pos]
+        if p <= t:
+            pos = bisect_right(pts, t, pos + 1)
+            p = pts[pos]
+            self._pos = pos
+        return p
+
+
+def _reference_simulate(config, plan, stop):
+    """``sim.simulate`` as an event-by-event heap loop: the oracle of the
+    cascade engine, which must return the same events and horizon."""
+    lo, hi = config.left_node, config.right_node
+    n = hi - lo + 1
+    permanent = config.input.is_permanent
+    sim._check_stop(config, stop)
+    cap = stop.time if stop.kind == sim.HORIZON else math.inf
+
+    rates = config.node_rates()
+    streams = [_Cursor(sim._recovery_stream(plan, lo + j, rates[j])) for j in range(n)]
+    # an empty chain reads on[-1] == 0, so its inputs reach no node
+    on = bytearray(max(n, 1))
+    heap = [(streams[j].next_after(0.0), j) for j in range(n)]
+    heapq.heapify(heap)
+    ins = None if permanent else _Cursor(sim._KeyedStream(plan.input_key(), config.input.quantile))
+    next_in = math.inf if permanent else ins.next()
+
+    stop_node = stop.node if stop.kind != sim.HORIZON else None
+    want = stop.count if stop.kind == sim.RECEPTION_COUNT else 1
+    events, seen, horizon = [], 0, cap
+    while True:
+        t_rec = heap[0][0] if heap else math.inf
+        if t_rec <= next_in:
+            if t_rec > cap:
+                break
+            t, j = heapq.heappop(heap)
+            on[j] = 1
+            events.append((core.RECOVERY, t, lo + j, lo + j))
+            if not (permanent and j == n - 1):
+                continue
+            events.append((core.INPUT, t, None, None))
+        else:
+            t = next_in
+            if t > cap:
+                break
+            events.append((core.INPUT, t, None, None))
+            next_in = ins.next()
+            if not on[n - 1]:
+                continue
+        # sweep the maximal all-on suffix
+        a = n - 1
+        while a > 0 and on[a - 1]:
+            a -= 1
+        events.append((core.RECEPTION, t, lo + a, hi))
+        for k in range(a, n):
+            on[k] = 0
+            heapq.heappush(heap, (streams[k].next_after(t), k))
+        if stop_node is not None and lo + a <= stop_node:
+            seen += 1
+            if seen >= want:
+                horizon = t
+                break
+    return core.EventLog(lo, hi, horizon, permanent, events)
+
+
 def per_rep_horizons(cfg, node, reps, seed):
     stop = sim.StopRule.first_reception_at(node)
     return sorted(sim.simulate(cfg, sim.RandomnessPlan(seed, r), stop).horizon
@@ -184,17 +271,18 @@ class TestBatchedKernel:
         monkeypatch.setattr(sim, "_LAST_BLOCK", 1)
         monkeypatch.setattr(sim, "_HANDOFF", 0)
         calls = []
-        simulate = sim.simulate
+        entry = sim._reception_times
 
         def counted(*args):
             calls.append(args[1].rep)
-            return simulate(*args)
+            return entry(*args)
 
-        monkeypatch.setattr(sim, "simulate", counted)
+        # a handed-off replication is rerun by the engine's reception entry
+        monkeypatch.setattr(sim, "_reception_times", counted)
         cfg = core.SystemConfig(1, len(rates), core.RateSchedule.explicit(rates), model)
         got = sim.sample_first_reception(cfg, 1, 30, seed=3)
         assert len(calls) >= 20
-        monkeypatch.setattr(sim, "simulate", simulate)
+        monkeypatch.setattr(sim, "_reception_times", entry)
         assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, 30, 3)))
 
     @pytest.mark.parametrize("reps, seed", [(0, 1), (2**32 + 1, 1), (5, -1), (5, 2**64)],
@@ -246,11 +334,11 @@ class TestBatchedKernel:
         cfg = analytic.permanent_reduce(core.SystemConfig(
             k, l, core.RateSchedule.linear(1.0), core.InputModel.permanent()))
         reruns, per_chunk = [], []
-        simulate, chunk = sim.simulate, sim._first_reception_chunk
+        entry, chunk = sim._reception_times, sim._first_reception_chunk
 
-        def counted_simulate(*args):
+        def counted_entry(*args):
             reruns.append(args[1].rep)
-            return simulate(*args)
+            return entry(*args)
 
         def counted_chunk(*args):
             before = len(reruns)
@@ -258,7 +346,7 @@ class TestBatchedKernel:
             per_chunk.append(len(reruns) - before)
             return drawn
 
-        monkeypatch.setattr(sim, "simulate", counted_simulate)
+        monkeypatch.setattr(sim, "_reception_times", counted_entry)
         monkeypatch.setattr(sim, "_first_reception_chunk", counted_chunk)
         got = sim.sample_first_reception(cfg, k, reps, seed)
         monkeypatch.undo()
@@ -293,6 +381,118 @@ class TestBatchedKernel:
         assert np.array_equal(bits(got), bits(want))
         # past block 3 the batch refuses
         assert np.isnan(batch.after(every, t, np.less_equal)).all()
+
+
+_ORACLE_RATES = {
+    "explicit": core.RateSchedule.explicit(([1.3, 0.4, 2.0, 0.9, 1.1, 3.0] * 6)[:32]),
+    "constant": core.RateSchedule.constant(1.0),
+    "linear": core.RateSchedule.linear(0.5),
+    "logsq": core.RateSchedule.log_square(),
+}
+
+
+def assert_same_run(cfg, plan, stop):
+    want = _reference_simulate(cfg, plan, stop)
+    got = sim.simulate(cfg, plan, stop)
+    assert got.horizon == want.horizon
+    assert got.events == want.events
+    assert got.permanent == want.permanent
+
+
+class TestCascadeEngine:
+    """The cascade engine against the event-by-event heap loop."""
+
+    @pytest.mark.parametrize("rates", list(_ORACLE_RATES))
+    @pytest.mark.parametrize("model", list(_GRID_INPUTS))
+    def test_matches_heap_loop(self, rates, model):
+        for n in (0, 1, 2, 4, 12, 32):
+            if n == 0 and model == "permanent":
+                continue
+            cfg = core.SystemConfig(1, n, _ORACLE_RATES[rates], _GRID_INPUTS[model])
+            stops = [sim.StopRule.horizon(25.0)]
+            for node in sorted({1, (1 + n) // 2, n} if n else ()):
+                stops += [sim.StopRule.first_reception_at(node),
+                          sim.StopRule.reception_count(node, 15)]
+            for stop in stops:
+                for rep in range(3):
+                    assert_same_run(cfg, sim.RandomnessPlan(11 + rep, rep), stop)
+
+    def test_filter_is_the_orbit_of_the_index_map(self):
+        # from a reception at signal A[i] the node recovers at the first point
+        # after it and receives next at the first signal at or after that:
+        # h(i) = searchsorted(A, P[searchsorted(P, A[i], "right")], "left").
+        # Integer times put signals on points and on each other.
+        rng = np.random.default_rng(3)
+
+        class Blocks:
+            def __init__(self, pts):
+                self._blocks = iter(np.split(pts, range(5, len(pts), 5)))
+
+            def next_block(self):
+                return next(self._blocks)
+
+        for _ in range(300):
+            pts = np.cumsum(rng.integers(0, 3, 60)).astype(float)
+            signals = np.sort(rng.integers(0, pts[-1], 25)).astype(float)
+            want, i = [], bisect_left(signals, pts[bisect_right(pts, 0.0)])
+            while i < len(signals):
+                want.append(i)
+                i = bisect_left(signals, pts[bisect_right(pts, signals[i])])
+            node, got, recs = sim._Node(Blocks(pts)), [], []
+            for window in np.split(np.arange(len(signals)), sorted(rng.integers(1, 25, 2))):
+                if len(window):
+                    hit, rec = node.receive(signals[window])
+                    got += window[hit].tolist()
+                    recs += rec.tolist()
+            assert got == want
+            assert recs == [pts[bisect_right(pts, signals[i])] for i in want]
+
+    def test_zero_gaps_match_heap_loop(self, monkeypatch):
+        # u = 0 gives a zero gap: a repeated point or input, or one at t = 0.
+        # A node turns on only at a point after its last reception, and a
+        # repeated input finds the last node off
+        draw = sim._draw_block
+
+        def with_zeros(key0, key1, block, size):
+            u = draw(key0, key1, block, size)
+            u[::5] = 0.0
+            return u
+
+        monkeypatch.setattr(sim, "_draw_block", with_zeros)
+        for model in ("permanent", "exp"):
+            cfg = core.SystemConfig(1, 4, core.RateSchedule.explicit([1.3, 0.4, 2.0, 0.9]),
+                                    _GRID_INPUTS[model])
+            for stop in (sim.StopRule.horizon(40.0), sim.StopRule.reception_count(2, 20)):
+                assert_same_run(cfg, sim.RandomnessPlan(6, 1), stop)
+
+    def test_matches_heap_loop_on_a_long_run(self):
+        # the 2l run of sample_extension(3, 16, 1200, linear(1)), whose top
+        # stream reaches a block of 65536 points
+        cfg = core.SystemConfig(1, 32, core.RateSchedule.linear(1.0), core.InputModel.permanent())
+        assert_same_run(cfg, sim.RandomnessPlan(5, 0), sim.StopRule.horizon(1200.0))
+
+    @pytest.mark.parametrize("max_horizon", [None, 1000.0])
+    def test_interreception_matches_heap_loop(self, max_horizon):
+        cfg = core.SystemConfig(1, 3, core.RateSchedule.explicit([1.0, 2.0, 3.0]),
+                                core.InputModel.exponential(2.0))
+        for node in (1, 3):
+            dist = sim.sample_interreception(cfg, node, 400, seed=8, max_horizon=max_horizon)
+            stop = (sim.StopRule.reception_count(node, 400) if max_horizon is None
+                    else sim.StopRule.horizon(max_horizon))
+            times = _reference_simulate(cfg, sim.RandomnessPlan(8, 0), stop).receptions_at(node)
+            want = np.sort(np.diff(times[:400], prepend=0.0))
+            assert np.array_equal(bits(dist.samples), bits(want))
+
+    def test_extension_matches_heap_loop(self):
+        rates = core.RateSchedule.linear(1.0)
+        ext = limit.sample_extension(3, 12, 80.0, rates, seed=4)
+        plan, stop = sim.RandomnessPlan(4, 0), sim.StopRule.horizon(80.0)
+        logs = [_reference_simulate(core.SystemConfig(1, l, rates, core.InputModel.permanent()),
+                                    plan, stop) for l in (12, 24)]
+        gaps = [sim.EmpiricalDistribution.from_values(
+            np.diff(log.receptions_at(3), prepend=0.0)) for log in logs]
+        assert ext.sensitivity_ks == sim.ks_statistic(*gaps)
+        assert ext.log.events == logs[0].restrict(3).events
 
 
 class TestPotentialPoints:
