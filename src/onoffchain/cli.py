@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical or precondition error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -248,7 +249,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mean(args) -> int:
     hp = analytic.exact_mean_equal_rates(args.n, args.bits)
-    digits = hp.digits(30)
+    # only the digits the working bits carry, at most 30
+    digits = hp.digits(min(30, math.floor(hp.bits * math.log10(2))))
     lines = ["n,mean,ratio_to_log"]
     if args.n >= 2:
         lines.append(f"{args.n},{digits},{analytic.euler_ratio(args.n, hp.bits)!r}")

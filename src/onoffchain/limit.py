@@ -87,60 +87,31 @@ class TailClassification:
 
     theta: float
     case: int
-    derivation: str            # "closed-form" | "numeric-estimate"
     note: str = ""
-
-    @property
-    def authoritative(self) -> bool:
-        return self.derivation == "closed-form"
 
 
 def classify_rates(rates: RateSchedule) -> TailClassification:
-    """Classify a schedule by its tail threshold.
+    """Classify a schedule by its tail threshold, in closed form.
 
-    Parametric families are classified in closed form.  Explicit finite
-    schedules only admit a heuristic estimate (the threshold is a tail
-    property no finite list determines); the result is flagged and a warning
-    is emitted.
+    Explicit finite schedules are refused: the threshold is a tail property
+    that no finite list determines.
     """
     fam = rates.family
+    if fam == EXPLICIT:
+        raise ValueError("explicit schedules have no tail beyond their length; "
+                         "classification needs a parametric family")
     if fam == CONSTANT:
-        return TailClassification(math.inf, 1, "closed-form",
+        return TailClassification(math.inf, 1,
                                   "constant rates: the sum diverges for every t")
     if fam == LINEAR:
-        return TailClassification(0.0, 4, "closed-form",
-                                  "geometric tails converge for every t > 0")
+        return TailClassification(0.0, 4, "geometric tails converge for every t > 0")
     if fam == LOG_SQUARE:
-        return TailClassification(0.0, 4, "closed-form",
-                                  "exp(-t log^2 k) decays faster than any power")
-    if fam == LOG_FAMILY:
-        theta = rates.theta0
-        # at t = theta the terms are ~ 1/(k (log k)^(theta*alpha))
-        if rates.theta0 * rates.alpha > 1.0:
-            return TailClassification(theta, 3, "closed-form",
-                                      "sum converges at the threshold itself")
-        return TailClassification(theta, 2, "closed-form",
-                                  "sum still diverges at the threshold")
-    # explicit: fit rate(k) ~ beta log k on the top half and guess
-    n = rates.length
-    ks = np.arange(max(2, n // 2), n + 1)
-    if len(ks) < 2:
-        est = math.inf
-    else:
-        vals = np.array([rates.rate(int(k)) for k in ks])
-        logs = np.log(ks)
-        beta = float(np.polyfit(logs, vals, 1)[0])
-        est = math.inf if beta <= 1e-12 else 1.0 / beta
-    if est == math.inf:
-        case = 1
-    elif est <= 0.05:
-        case, est = 4, 0.0
-    else:
-        case = 2
-    note = ("threshold estimated from a finite schedule; it is a tail "
-            "property and this figure is not authoritative")
-    warnings.warn(note)
-    return TailClassification(est, case, "numeric-estimate", note)
+        return TailClassification(0.0, 4, "exp(-t log^2 k) decays faster than any power")
+    theta = rates.theta0
+    # log family: at t = theta the terms are ~ 1/(k (log k)^(theta*alpha))
+    if rates.theta0 * rates.alpha > 1.0:
+        return TailClassification(theta, 3, "sum converges at the threshold itself")
+    return TailClassification(theta, 2, "sum still diverges at the threshold")
 
 
 def exp_tail_sum(rates: RateSchedule, x: float, start: int,

@@ -574,12 +574,10 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 # The batched kernel runs replications in chunks that draw about
 # _CHUNK_POINTS stream points each.  It draws block 0 of their streams
 # _PHILOX_SLICE streams at a time and each later block, up to block
-# _LAST_BLOCK, when a stream needs it.  The last _HANDOFF replications of a
-# chunk are left to the engine of simulate.
+# _LAST_BLOCK, when a stream needs it.
 _CHUNK_POINTS = 2 ** 17
 _PHILOX_SLICE = 2 ** 10
 _LAST_BLOCK = 4
-_HANDOFF = 2
 
 
 def sample_first_reception(config: SystemConfig, node: int, reps: int,
@@ -622,8 +620,7 @@ def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
     are on, the maximal all-on suffix switches off, and each swept node waits
     for the first point of its stream after the reception.  A replication
     that would read past block ``_LAST_BLOCK`` of a stream before it ends is
-    rerun by ``_reception_times``, and so are the last ``_HANDOFF`` of the
-    chunk.
+    rerun by ``_reception_times``.
     """
     n, lo = config.n_nodes, config.left_node
     key1 = np.arange(reps.start, reps.stop, dtype=np.uint64) << _SH32
@@ -641,11 +638,8 @@ def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
     left = stop.node - lo
     spill = np.isnan(rec).any(axis=1)
     rerun = [rows[spill]]
-    keep = ~spill
-    while True:
-        rows, rec = rows[keep], rec[keep]
-        if len(rows) <= _HANDOFF:
-            break
+    rows, rec = rows[~spill], rec[~spill]
+    while len(rows):
         t = rec[:, -1].copy()
         if ins is not None:
             # inputs before the last node recovers are blocked
@@ -659,7 +653,8 @@ def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
         spill[r[np.isnan(nxt)]] = True
         rerun.append(rows[spill])
         keep = ~(done | spill)
-    for row in np.concatenate(rerun + [rows]).tolist():
+        rows, rec = rows[keep], rec[keep]
+    for row in np.concatenate(rerun).tolist():
         r = reps.start + row
         out[r] = _reception_times(config, RandomnessPlan(seed, r), stop, stop.node)[1]
     return recs.drawn + (0 if ins is None else ins.drawn)

@@ -58,7 +58,7 @@ class TestSpecParsing:
 class TestCommands:
     @pytest.mark.parametrize("argv, rows", [
         (["--n", "3"], ["# command: mean --n 3 --bits 67",
-                        "3,2.66666666666666666665763164856,2.427304604338233"]),
+                        "3,2.6666666666666666667,2.427304604338233"]),
         (["--n", "64"], ["# command: mean --n 64 --bits 128",
                          "64,8.17249845422616479852139563526,1.9650704985974679"]),
         (["--n", "64", "--bits", "200"],

@@ -23,21 +23,12 @@ class TestClassification:
         got = limit.classify_rates(sched)
         assert got.case == case
         assert got.theta == theta
-        assert got.authoritative
 
-    def test_explicit_is_estimate_only(self):
-        sched = core.RateSchedule.explicit([1.0] * 24)
-        with pytest.warns(UserWarning, match="not authoritative"):
-            got = limit.classify_rates(sched)
-        assert not got.authoritative
-        assert got.derivation == "numeric-estimate"
-        assert got.case == 1
-
-    def test_explicit_growing_looks_like_case4(self):
-        sched = core.RateSchedule.explicit([float(k) for k in range(1, 40)])
-        with pytest.warns(UserWarning):
-            got = limit.classify_rates(sched)
-        assert got.case == 4 and not got.authoritative
+    @pytest.mark.parametrize("values", [[1.0] * 24, [float(k) for k in range(1, 40)]],
+                             ids=["constant", "growing"])
+    def test_explicit_refused(self, values):
+        with pytest.raises(ValueError, match="parametric family"):
+            limit.classify_rates(core.RateSchedule.explicit(values))
 
 
 class TestTailSums:

@@ -269,7 +269,6 @@ class TestBatchedKernel:
         # a budget of blocks 0 and 1 (80 points) stands in for the real one,
         # which these chains would pass only after many more events
         monkeypatch.setattr(sim, "_LAST_BLOCK", 1)
-        monkeypatch.setattr(sim, "_HANDOFF", 0)
         calls = []
         entry = sim._reception_times
 
@@ -330,10 +329,9 @@ class TestBatchedKernel:
         # the reduced chains that limit.sample_truncation_law samples read
         # later blocks of nearly every input stream and of the fast nodes'
         # recovery streams; none of their replications leaves the kernel
-        # except the chunk tails
         cfg = analytic.permanent_reduce(core.SystemConfig(
             k, l, core.RateSchedule.linear(1.0), core.InputModel.permanent()))
-        reruns, per_chunk = [], []
+        reruns, chunks = [], []
         entry, chunk = sim._reception_times, sim._first_reception_chunk
 
         def counted_entry(*args):
@@ -341,17 +339,15 @@ class TestBatchedKernel:
             return entry(*args)
 
         def counted_chunk(*args):
-            before = len(reruns)
-            drawn = chunk(*args)
-            per_chunk.append(len(reruns) - before)
-            return drawn
+            chunks.append(args[3])
+            return chunk(*args)
 
         monkeypatch.setattr(sim, "_reception_times", counted_entry)
         monkeypatch.setattr(sim, "_first_reception_chunk", counted_chunk)
         got = sim.sample_first_reception(cfg, k, reps, seed)
         monkeypatch.undo()
-        assert len(per_chunk) >= 2
-        assert max(per_chunk) <= sim._HANDOFF
+        assert len(chunks) >= 2
+        assert reruns == []
         assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, k, reps, seed)))
 
     @pytest.mark.parametrize("kind", ["recovery", "exp-input", "empirical-input"])
