@@ -107,9 +107,10 @@ class LaplaceEval:
         self.label = label
 
     def __call__(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("transforms are evaluated at s >= 0")
-        return float(self._fn(float(s)))
+        s = float(s)
+        if not (math.isfinite(s) and s >= 0):
+            raise ValueError(f"transforms are evaluated at finite s >= 0, got {s}")
+        return float(self._fn(s))
 
     def __repr__(self):
         return f"LaplaceEval({self.kind}: {self.label})"
@@ -282,13 +283,13 @@ def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
     return math.exp(total)
 
 
-def mean_from_transform(phi: LaplaceEval, rel_tol: float = _MEAN_REL_TOL,
-                        max_evals: int = _MEAN_MAX_EVALS) -> float:
+def mean_from_transform(phi: LaplaceEval) -> float:
     """Mean of the interval law: the s -> 0+ limit of phi(s)/s.
 
     Uses Richardson extrapolation on a halving step, starting at 1e-3,
-    until two successive extrapolants agree to ``rel_tol``.  Raises
-    ConvergenceError when ``max_evals`` evaluations do not get there.
+    until two successive extrapolants agree to ``_MEAN_REL_TOL`` (1e-8
+    relative).  Raises ConvergenceError when ``_MEAN_MAX_EVALS`` evaluations
+    do not get there.
     """
     if abs(phi(0.0)) > 1e-12:
         raise ImproperTransformError(f"phi(0) = {phi(0.0)}, expected 0")
@@ -298,7 +299,7 @@ def mean_from_transform(phi: LaplaceEval, rel_tol: float = _MEAN_REL_TOL,
     est = delta = math.nan
     growth = 0
     evals = 0
-    while evals < max_evals:
+    while evals < _MEAN_MAX_EVALS:
         a0 = phi(h) / h
         a1 = phi(h / 2) / (h / 2)
         a2 = phi(h / 4) / (h / 4)
@@ -308,7 +309,7 @@ def mean_from_transform(phi: LaplaceEval, rel_tol: float = _MEAN_REL_TOL,
         est = (4 * r1b - r1a) / 3
         if prev is not None:
             delta = abs(est - prev)
-            if delta <= rel_tol * max(abs(est), 1e-300):
+            if delta <= _MEAN_REL_TOL * max(abs(est), 1e-300):
                 return est
             growth = growth + 1 if abs(est) > 1.02 * abs(prev) else 0
             if growth >= 6 and abs(est) > 8.0 * abs(first):
@@ -318,7 +319,7 @@ def mean_from_transform(phi: LaplaceEval, rel_tol: float = _MEAN_REL_TOL,
         prev = est
         h /= 2
     raise ConvergenceError(
-        f"phi(s)/s did not settle to rel_tol={rel_tol} within {max_evals} "
+        f"phi(s)/s did not settle to rel_tol={_MEAN_REL_TOL} within {_MEAN_MAX_EVALS} "
         f"evaluations; last estimate {est!r}, last change {delta!r}")
 
 

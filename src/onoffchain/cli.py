@@ -270,8 +270,11 @@ def _cmd_transform(args) -> int:
     lines = ["s,phi"]
     lines.extend(f"{s!r},{phi(s)!r}" for s in grid)
     mean = analytic.mean_from_transform(phi)
+    # nine significant digits: rounding adds at most 5e-9 to the 1e-8
+    # relative tolerance of mean_from_transform
     header = [f"command: transform --rates {args.rates} --input {args.input}",
-              f"mean: {mean!r}"]
+              f"mean: {mean:#.9g}",
+              "tolerance: mean 1e-8 relative"]
     _emit(args, header, lines)
     return 0
 

@@ -88,7 +88,6 @@ class RateSchedule:
     """
 
     family: str
-    length: int | None = None          # None: unbounded (parametric only)
     values: tuple[float, ...] = ()     # explicit family only
     first_index: int = 1               # node index of values[0]
     c: float = 0.0
@@ -101,14 +100,10 @@ class RateSchedule:
         if self.family == EXPLICIT:
             if not self.values:
                 raise ScheduleError("explicit schedule needs at least one rate")
-            if self.length != len(self.values):
-                raise ScheduleError("explicit schedule length must match values")
             for v in self.values:
                 if not (math.isfinite(v) and v > 0.0):
                     raise ScheduleError(f"rates must be positive and finite, got {v}")
         else:
-            if self.length is not None and self.length < 1:
-                raise ScheduleError("schedule length must be >= 1")
             if self.family in (CONSTANT, LINEAR) and not (math.isfinite(self.c) and self.c > 0.0):
                 raise ScheduleError(f"coefficient must be positive, got {self.c}")
             if self.family == LOG_FAMILY:
@@ -122,29 +117,25 @@ class RateSchedule:
     @classmethod
     def explicit(cls, values, first_index: int = 1) -> "RateSchedule":
         vals = tuple(float(v) for v in values)
-        return cls(EXPLICIT, length=len(vals), values=vals, first_index=first_index)
+        return cls(EXPLICIT, values=vals, first_index=first_index)
 
     @classmethod
-    def constant(cls, c: float, length: int | None = None) -> "RateSchedule":
-        return cls(CONSTANT, length=length, c=float(c))
+    def constant(cls, c: float) -> "RateSchedule":
+        return cls(CONSTANT, c=float(c))
 
     @classmethod
-    def linear(cls, c: float, length: int | None = None) -> "RateSchedule":
-        return cls(LINEAR, length=length, c=float(c))
+    def linear(cls, c: float) -> "RateSchedule":
+        return cls(LINEAR, c=float(c))
 
     @classmethod
-    def log_family(cls, theta0: float, alpha: float, length: int | None = None) -> "RateSchedule":
-        return cls(LOG_FAMILY, length=length, theta0=float(theta0), alpha=float(alpha))
+    def log_family(cls, theta0: float, alpha: float) -> "RateSchedule":
+        return cls(LOG_FAMILY, theta0=float(theta0), alpha=float(alpha))
 
     @classmethod
-    def log_square(cls, length: int | None = None) -> "RateSchedule":
-        return cls(LOG_SQUARE, length=length)
+    def log_square(cls) -> "RateSchedule":
+        return cls(LOG_SQUARE)
 
     # -- evaluation ---------------------------------------------------------
-
-    @property
-    def unbounded(self) -> bool:
-        return self.length is None
 
     def rate(self, k: int) -> float:
         """Recovery rate at node index k (strictly positive)."""
@@ -156,8 +147,6 @@ class RateSchedule:
             return self.values[j]
         if k < 1:
             raise ScheduleError(f"parametric schedules are defined for k >= 1, got {k}")
-        if self.length is not None and k > self.length:
-            raise ScheduleError(f"index {k} outside schedule of length {self.length}")
         if self.family == CONSTANT:
             return self.c
         if self.family == LINEAR:
@@ -170,18 +159,6 @@ class RateSchedule:
 
     def rates(self, lo: int, hi: int) -> tuple[float, ...]:
         return tuple(self.rate(k) for k in range(lo, hi + 1))
-
-    def spec_string(self) -> str:
-        """Round-trippable description in the CLI mini-grammar."""
-        if self.family == EXPLICIT:
-            return "explicit:" + ",".join(repr(v) for v in self.values)
-        if self.family == CONSTANT:
-            return f"const:{self.c!r}"
-        if self.family == LINEAR:
-            return f"linear:{self.c!r}"
-        if self.family == LOG_FAMILY:
-            return f"logfam:{self.theta0!r},{self.alpha!r}"
-        return "logsq"
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +233,6 @@ class InputModel:
             idx = np.minimum((u * len(s)).astype(np.int64), len(s) - 1)
             return s[idx]
         raise ValueError("permanent input has no interval law")
-
-    def spec_string(self) -> str:
-        if self.kind == PERMANENT:
-            return "permanent"
-        if self.kind == EXPONENTIAL:
-            return f"exp:{self.rate!r}"
-        if self.kind == DETERMINISTIC:
-            return f"det:{self.duration!r}"
-        return f"empirical:<{len(self.samples)} samples>"
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +314,6 @@ class EventLog:
     def receptions_at(self, node: int) -> list[float]:
         return [e[1] for e in self.events
                 if e[0] == RECEPTION and e[2] <= node <= e[3]]
-
-    def reception_blocks(self) -> list[tuple[float, int, int]]:
-        return [(e[1], e[2], e[3]) for e in self.events if e[0] == RECEPTION]
 
     def restrict(self, node_hi: int) -> "EventLog":
         """View of the log on nodes [left_node, node_hi].
@@ -657,6 +622,9 @@ def switch_times(traj: OnOffTrajectory) -> SignalRecoverySequence:
 # Dynamics checks on finite windows
 # ---------------------------------------------------------------------------
 
+_RECEPTION_BINS = 10
+
+
 @dataclass(frozen=True)
 class DynamicsReport:
     """Finite-window dynamics checks plus density diagnostics.
@@ -682,10 +650,10 @@ class DynamicsReport:
             and not self.suffix_violations
 
 
-def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence,
-                   bins: int = 10) -> DynamicsReport:
+def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> DynamicsReport:
     """Validate trajectory structure and the switch-off rules against the
-    reception times of ``seq``, restricted to the available node range."""
+    reception times of ``seq``, restricted to the available node range; the
+    receptions are counted in ``_RECEPTION_BINS`` equal bins of the window."""
     if (traj.node_lo, traj.node_hi) != (seq.node_lo, seq.node_hi):
         raise DimensionMismatchError("trajectory and sequence node ranges differ")
     if traj.window != seq.window:
@@ -737,6 +705,7 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence,
                 suffix.append((t, f"switch-off block {nodes} does not reach node {hi}"))
 
     all_receptions = sorted(t for node in seq.nodes() for t in seq.receptions[node][1:])
+    bins = _RECEPTION_BINS
     w = traj.window if traj.window > 0 else 1.0
     edges = [w * i / bins for i in range(bins + 1)]
     counts = [0] * bins
@@ -757,15 +726,14 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence,
 # Log -> sequence conversion
 # ---------------------------------------------------------------------------
 
-def log_to_sequence(log: EventLog, include_permanent_right: bool = False) -> SignalRecoverySequence:
+def log_to_sequence(log: EventLog) -> SignalRecoverySequence:
     """Extract the per-node recovery/reception sequence from a log.
 
     Under permanent input the rightmost node recovers and is switched off at
-    the same instant, so its times cannot interleave strictly; it is dropped
-    unless explicitly requested.
+    the same instant, so its times cannot interleave strictly; it is dropped.
     """
     hi = log.right_node
-    if log.permanent and not include_permanent_right:
+    if log.permanent:
         hi -= 1
     if hi < log.left_node:
         raise DegenerateRangeError("log has no observable nodes left of the input")

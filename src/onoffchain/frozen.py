@@ -26,7 +26,6 @@ __all__ = [
     "ConsistencyResult",
     "SearchReport",
     "DuplicateThresholdError",
-    "UndecidableError",
     "check_candidate",
     "exhaustive_search",
 ]
@@ -36,10 +35,6 @@ _MAX_SEARCH_INDEX = 20
 
 class DuplicateThresholdError(ValueError):
     """Two equal thresholds were encountered; the rule needs distinct values."""
-
-
-class UndecidableError(RuntimeError):
-    """The tail certificate could not settle a quantifier."""
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +260,9 @@ class StopRule:
 
     @classmethod
     def horizon(cls, time: float) -> "StopRule":
-        if not time > 0:
-            raise ValueError("horizon must be positive")
+        # an infinite horizon would draw input blocks for ever
+        if not (math.isfinite(time) and time > 0):
+            raise ValueError(f"horizon must be a finite positive time, got {time}")
         return cls(HORIZON, time=float(time))
 
     @classmethod
@@ -739,27 +739,16 @@ class _StreamBatch:
 
 
 def sample_interreception(config: SystemConfig, node: int, gap_count: int,
-                          seed: int, max_horizon: float | None = None) -> EmpiricalDistribution:
-    """Consecutive reception gaps at ``node`` from one long run.
+                          seed: int) -> EmpiricalDistribution:
+    """The first ``gap_count`` reception gaps at ``node`` from one long run.
 
     The gaps at a node form a renewal process, so a single replication
-    yields iid gaps (the first gap is measured from t = 0).  If
-    ``max_horizon`` is given and the run ends early, a warning is issued and
-    the gaps observed so far are returned.
+    yields iid gaps (the first gap is measured from t = 0).  The run stops
+    at the ``gap_count``-th reception, so the sample always has that size.
     """
-    if gap_count < 1:
-        raise ValueError("gap_count must be >= 1")
-    if max_horizon is None:
-        stop = StopRule.reception_count(node, gap_count)
-    else:
-        stop = StopRule.horizon(max_horizon)
-    _check_stop(config, StopRule.first_reception_at(node))
-    times = _reception_times(config, RandomnessPlan(seed, 0), stop, node)[0][:gap_count]
-    if len(times) < gap_count:
-        warnings.warn(f"only {len(times)} of {gap_count} receptions observed "
-                      f"before the horizon; returning a partial sample")
-    if not len(times):
-        raise ValueError("no receptions observed; cannot form gaps")
+    stop = StopRule.reception_count(node, gap_count)     # refuses gap_count < 1
+    _check_stop(config, stop)
+    times = _reception_times(config, RandomnessPlan(seed, 0), stop, node)[0]
     return EmpiricalDistribution.from_values(np.diff(times, prepend=0.0))
 
 

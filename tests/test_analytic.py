@@ -94,8 +94,10 @@ class TestInputTransforms:
 
     def test_negative_s_rejected(self):
         phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
-        with pytest.raises(ValueError):
-            phi(-0.5)
+        # and every s that is not finite
+        for s in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                phi(s)
 
 
 class TestNodeStep:

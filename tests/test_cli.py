@@ -129,8 +129,20 @@ class TestCommands:
         assert rows[0] == "s,phi"
         s, phi = (float(x) for x in rows[1].split(","))
         assert (s, phi) == (1.0, pytest.approx(0.75, abs=1e-12))
-        mean_line = [l for l in out.splitlines() if l.startswith("# mean:")][0]
-        assert float(mean_line.split(":")[1]) == pytest.approx(2.0, rel=1e-7)
+
+    @pytest.mark.parametrize("rates, model, line, exact", [
+        ("explicit:1,1", "exp:1", "# mean: 2.66666667", 8 / 3),
+        ("explicit:1", "exp:1", "# mean: 2.00000000", 2.0),
+        ("explicit:1", "det:1", "# mean: 1.58197671", 1 / -math.expm1(-1.0)),
+    ], ids=["two-nodes", "one-node", "one-node-det"])
+    def test_transform_mean_digits(self, capsys, rates, model, line, exact):
+        # nine significant digits, each supported by the 1e-8 tolerance
+        code, out, _ = run_cli(["transform", "--rates", rates, "--input", model,
+                                "--s-grid", "1"], capsys)
+        assert code == 0
+        assert line in out.splitlines()
+        assert "# tolerance: mean 1e-8 relative" in out.splitlines()
+        assert abs(float(line.split(": ")[1]) - exact) <= 1e-8 * exact
 
     def test_limit_table(self, capsys):
         code, out, _ = run_cli(
@@ -209,6 +221,21 @@ class TestExitCodes:
         # node 2 has no certificate: a numerical refusal, not a usage error
         code, _, err = run_cli(["limit", "--rates", "linear:1", "--certify", "2"], capsys)
         assert code == 2 and "usage" not in err
+
+    def test_infinite_horizon_is_usage_error(self, capsys):
+        code, out, err = run_cli(["simulate", "--rates", "explicit:1", "--input", "exp:1",
+                                  "--stop", "horizon:inf"], capsys)
+        assert code == 1 and out == ""
+        assert "usage error: bad stop spec" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--rates", "explicit:1", "--input", "exp:1", "--s-grid", "nan,inf"],
+        ["limit", "--rates", "linear:1", "--certify", "5", "--interval", "0,inf"],
+    ], ids=["transform-nan-inf", "certify-infinite-interval"])
+    def test_non_finite_argument_is_two(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "usage" not in err
 
     def test_ladder_without_k_is_usage_error(self, capsys):
         code, _, err = run_cli(["limit", "--rates", "linear:1", "--ladder", "4,8"], capsys)

@@ -161,11 +161,9 @@ class TestIntervalReceptionBound:
         assert all(0.0 < b < 1.0 for b in bounds)
         assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
 
-    def test_fat_certificate_rejected(self):
-        fat = limit.DenseSignalCertificate(10, tau=0.6, tail_sum=0.01,
-                                           input_rate=1.0 / math.sqrt(0.6))
-        with pytest.raises(ValueError, match="half the"):
-            limit.interval_reception_bound(10, (0.0, 1.0), LINEAR, certificate=fat)
+    def test_infinite_interval_refused(self):
+        with pytest.raises(ValueError):
+            limit.interval_reception_bound(5, (0.0, math.inf), LINEAR)
 
     def test_empirical_frequency_exceeds_bound(self):
         k, l = 20, 80

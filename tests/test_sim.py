@@ -467,16 +467,15 @@ class TestCascadeEngine:
         cfg = core.SystemConfig(1, 32, core.RateSchedule.linear(1.0), core.InputModel.permanent())
         assert_same_run(cfg, sim.RandomnessPlan(5, 0), sim.StopRule.horizon(1200.0))
 
-    @pytest.mark.parametrize("max_horizon", [None, 1000.0])
-    def test_interreception_matches_heap_loop(self, max_horizon):
+    def test_interreception_matches_heap_loop(self):
         cfg = core.SystemConfig(1, 3, core.RateSchedule.explicit([1.0, 2.0, 3.0]),
                                 core.InputModel.exponential(2.0))
         for node in (1, 3):
-            dist = sim.sample_interreception(cfg, node, 400, seed=8, max_horizon=max_horizon)
-            stop = (sim.StopRule.reception_count(node, 400) if max_horizon is None
-                    else sim.StopRule.horizon(max_horizon))
+            dist = sim.sample_interreception(cfg, node, 400, seed=8)
+            stop = sim.StopRule.reception_count(node, 400)
             times = _reference_simulate(cfg, sim.RandomnessPlan(8, 0), stop).receptions_at(node)
-            want = np.sort(np.diff(times[:400], prepend=0.0))
+            assert len(times) == 400
+            want = np.sort(np.diff(times, prepend=0.0))
             assert np.array_equal(bits(dist.samples), bits(want))
 
     def test_extension_matches_heap_loop(self):
@@ -571,12 +570,6 @@ class TestInterreception:
         x, y = raw[:-1], raw[1:]
         r = np.corrcoef(x, y)[0, 1]
         assert abs(r) < 3.0 / math.sqrt(len(x))
-
-    def test_partial_sample_warns(self):
-        cfg = unit_chain(1, core.InputModel.permanent())
-        with pytest.warns(UserWarning, match="partial"):
-            dist = sim.sample_interreception(cfg, 1, 10000, seed=11, max_horizon=5.0)
-        assert dist.count < 10000
 
 
 class TestCoupling:
@@ -678,8 +671,9 @@ class TestEngineEdges:
         cfg = unit_chain(2, core.InputModel.permanent())
         with pytest.raises(ValueError):
             sim.simulate(cfg, sim.RandomnessPlan(1, 0), sim.StopRule.first_reception_at(9))
-        with pytest.raises(ValueError):
-            sim.StopRule.horizon(-1.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sim.StopRule.horizon(bad)
         with pytest.raises(ValueError):
             sim.StopRule.reception_count(1, 0)
 
