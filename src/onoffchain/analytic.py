@@ -60,6 +60,7 @@ EXP_EULER_GAMMA = float(EXP_EULER_GAMMA_STR)
 _TERM_CAP = 2 ** 25       # subset sums one exact chain evaluation may expand into
 _FLOAT_WEIGHT_CAP = 2 ** 12   # largest subset weight summed in float64
 _GUARD_BITS = 32
+_LOG_SLACK_BITS = 32   # fixed-point bits the log table's error bound may take up
 _EMPIRICAL_BLOCK = 2 ** 16    # array elements per block of empirical samples
 _MEAN_H0 = 1e-3
 _MEAN_REL_TOL = 1e-8
@@ -189,12 +190,22 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
     if terms > _TERM_CAP:
         raise ComplexityError(
             f"chain transform needs {terms} subset sums; the cap is {_TERM_CAP}")
+    # the largest subset sum, added up in the order _float_chain adds it
+    top = sum(c * r for r, c in groups)
+    if not math.isfinite(top):
+        raise ValueError("the recovery rates sum beyond the float range")
     max_weight = math.prod(math.comb(c, c // 2) for _, c in groups)
     if max_weight <= _FLOAT_WEIGHT_CAP:
         fn = _float_chain(model, groups)
     else:
         fn = _mp_chain(model, groups, len(rs) + 53 + _GUARD_BITS)
-    return LaplaceEval(fn, "composite", f"{base.label} -> chain({len(rs)})")
+
+    def checked(s):
+        if not math.isfinite(s + top):
+            raise ValueError(f"s = {s!r} plus the rate sum {top!r} is beyond the float range")
+        return fn(s)
+
+    return LaplaceEval(checked, "composite", f"{base.label} -> chain({len(rs)})")
 
 
 def _signed_binomials(c: int) -> list[int]:
@@ -359,24 +370,35 @@ class HighPrecisionReal:
         return mpmath.nstr(self.value, n, strip_zeros=False)
 
 
-def _prime_exponents(n: int) -> list[tuple[int, int]]:
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[k] is the smallest prime factor of k for 2 <= k <= n; k is prime
+    exactly when spf[k] == k."""
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for q in range(p * p, n + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return spf
+
+
+def _prime_exponents(spf: list[int]) -> list[tuple[int, int]]:
     """The nonzero exact exponents e_p with prod_k k^((-1)^k C(n, k)) =
-    prod_p p^(e_p), for the primes p <= n.
+    prod_p p^(e_p), for the primes p <= n = len(spf) - 1.
 
     e_p = sum_k (-1)^k C(n, k) v_p(k), where v_p(k) is the exponent of p in
     k: each k adds its signed binomial once for every power p^j dividing it.
     """
+    n = len(spf) - 1
     signed = [1] * (n + 1)
     c = 1
     for k in range(1, n + 1):
         c = c * (n - k + 1) // k
         signed[k] = -c if k & 1 else c
-    sieve = bytearray([1]) * (n + 1)
     out = []
     for p in range(2, n + 1):
-        if not sieve[p]:
+        if spf[p] != p:
             continue
-        sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
         e = 0
         q = p
         while q <= n:
@@ -387,22 +409,72 @@ def _prime_exponents(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _two_atanh_inv(m: int, w: int) -> tuple[int, int]:
+    """2 atanh(1/m) = sum_k 2 / ((2k + 1) m^(2k + 1)) for m >= 3, in
+    units of 2^-w, rounded down, with a bound on its error in those units.
+
+    Every division rounds down, so the result is never too large.  The
+    running power 2^(w+1) / m^(2k+1) is short of its true value by less
+    than 1 at k = 0 and by less than 1 / (1 - 1/m^2) <= 9/8 after, so of
+    the K terms summed the first is short by less than 1 unit and term k by
+    less than 9/8 / (2k + 1) + 1 < 2 units.  The series stops at the first
+    power that is 0 (K >= 1, as 2^(w+1) > m), whose true value is then
+    below 9/8; the tail from there is below (9/8)^2 / 3 < 1 unit.  The
+    error is below 2K + 1.
+    """
+    power = (1 << (w + 1)) // m
+    m2 = m * m
+    total = k = 0
+    while power:
+        total += power // (2 * k + 1)
+        power //= m2
+        k += 1
+    return total, 2 * k + 1
+
+
+def _log_table(spf: list[int], w: int) -> dict[int, tuple[int, int]]:
+    """ln p in units of 2^-w, and a bound on its error in those units, for
+    the primes p <= len(spf) - 1.
+
+    ln 2 = 2 atanh(1/3), and for an odd prime p,
+    ln p = ln(p - 1) + 2 atanh(1/(2p - 1)), where ln(p - 1) is summed from
+    the entries of the smaller primes over the factorization of p - 1.  An
+    entry's bound is that of its series plus the bounds of the entries it
+    sums, each counted with its multiplicity.
+    """
+    table = {}
+    for p in range(2, len(spf)):
+        if spf[p] != p:
+            continue
+        value, bound = _two_atanh_inv(2 * p - 1, w)
+        k = p - 1
+        while k > 1:
+            q = spf[k]
+            k //= q
+            lq, eq = table[q]
+            value += lq
+            bound += eq
+        table[p] = (value, bound)
+    return table
+
+
 def exact_mean_equal_rates(n: int, precision_bits: int | None = None) -> HighPrecisionReal:
     """Mean first-reception time at the left end of an n-node equal-rate
     chain under permanent input, by the exact alternating product.
 
     The mean is prod_k k^((-1)^k C(n, k)) = prod_p p^(e_p) with the exact
-    integer prime exponents of :func:`_prime_exponents`, so it is computed
-    as exp(sum_p e_p ln p): pi(n) logarithms instead of n - 1.
-
-    Precision: an absolute error in the sum is a relative error in the
-    mean.  Rounding the terms at w bits leaves an absolute error of about
-    2^-w sum_p |e_p| ln p, and since |e_p| <= sum_k C(n, k) v_p(k),
-    sum_p |e_p| ln p <= sum_k C(n, k) ln k <= 2^n ln n: the bound of the
-    direct sum over k, which cancels about n bits, still holds.  Requests
-    below n + 64 bits are refused; the sum runs at
-    ``precision_bits + n + 32`` bits and the result is rounded back to the
-    requested precision.  Results are cached by (n, bits).
+    integer prime exponents of :func:`_prime_exponents`, so it is
+    exp(sum_p e_p ln p).  The logarithms come from the integer table of
+    :func:`_log_table` at w = ``precision_bits + n + 64`` fractional bits:
+    the sum S = sum_p e_p L_p is exact, and its error is below
+    B = sum_p |e_p| E_p units of 2^-w, E_p being the bound of entry p.  An
+    absolute error in the sum is a relative error in the mean, and the
+    alternating sum cancels about n bits (|e_p| reaches about 2^n), which
+    the n in w pays for.  A bound B 2^-w of 2^-(precision_bits + 32) or
+    more is refused with PrecisionError; otherwise exp(S 2^-w) is taken at
+    ``precision_bits + n + 32`` bits and rounded to the requested precision.
+    Requests below n + 64 bits are refused.  Results are cached by
+    (n, bits).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -419,9 +491,21 @@ def exact_mean_equal_rates(n: int, precision_bits: int | None = None) -> HighPre
 
 @functools.lru_cache(maxsize=128)
 def _exact_mean(n: int, precision_bits: int) -> HighPrecisionReal:
+    spf = _smallest_prime_factors(n)
+    w = precision_bits + n + _GUARD_BITS + _LOG_SLACK_BITS
+    logs = _log_table(spf, w)
+    total = bound = 0
+    for p, e in _prime_exponents(spf):
+        lp, ep = logs[p]
+        total += e * lp
+        bound += abs(e) * ep
+    if bound.bit_length() > w - precision_bits - _GUARD_BITS:
+        raise PrecisionError(
+            f"the log table bounds the error of the exponent only by "
+            f"2^{bound.bit_length() - w}; {precision_bits} bits need a bound "
+            f"below 2^-{precision_bits + _GUARD_BITS}")
     with mpmath.workprec(precision_bits + n + _GUARD_BITS):
-        total = mpmath.fsum(e * mpmath.log(p) for p, e in _prime_exponents(n))
-        value = mpmath.exp(total)
+        value = mpmath.exp(mpmath.ldexp(total, -w))
     with mpmath.workprec(precision_bits):
         value = +value                     # round to the stated precision
     return HighPrecisionReal(value, precision_bits)
@@ -432,7 +516,7 @@ def exact_mean_small_fraction(n: int) -> Fraction:
     if not 1 <= n <= 16:
         raise ValueError("rational cross-check is for n <= 16 (the exponents "
                          "are binomial coefficients)")
-    exps = _prime_exponents(n)
+    exps = _prime_exponents(_smallest_prime_factors(n))
     return Fraction(math.prod(p ** e for p, e in exps if e > 0),
                     math.prod(p ** -e for p, e in exps if e < 0))
 

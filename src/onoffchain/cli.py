@@ -235,6 +235,11 @@ def _cmd_simulate(args) -> int:
               f"--nodes {lo}:{hi} --stop {args.stop} --reps {args.reps}"]
     if args.reps == 1:
         stop = parse_stop(args.stop)
+        if stop.kind == sim.HORIZON:
+            try:
+                sim.check_horizon(cfg, stop.time)
+            except ValueError as exc:
+                raise UsageError(f"bad stop spec {args.stop!r}: {exc}") from exc
         log = sim.simulate(cfg, sim.RandomnessPlan(args.seed, 0), stop)
         lines = ["kind,time,node_lo,node_hi"]
         lines.extend(log.csv_lines())

@@ -352,9 +352,7 @@ def validate_event_log(log: EventLog) -> None:
     n = hi - lo + 1
     on = [0] * max(n, 0)
     last_t = 0.0
-    last_kind_per_node = {}
     pending_input = False
-    prev = None
     for e in log.events:
         kind, t = e[0], e[1]
         if not t >= last_t:                # also refuses NaN times
@@ -373,14 +371,10 @@ def validate_event_log(log: EventLog) -> None:
             if on[j] != 0:
                 raise EventLogError(f"recovery of a node already on: {e}")
             on[j] = 1
-            if last_kind_per_node.get(node) == RECOVERY:
-                raise EventLogError(f"two recoveries without a reception at node {node}")
-            last_kind_per_node[node] = RECOVERY
-            if t == last_t and prev is not None:
-                # only the permanent tick puts a recovery level with others,
-                # and there it opens the tick
-                if pending_input:
-                    raise EventLogError(f"recovery inside an input tick: {e}")
+            # only the permanent tick puts a recovery level with others, and
+            # there it opens the tick, before the input
+            if pending_input:
+                raise EventLogError(f"recovery inside an input tick: {e}")
         else:
             a, b = e[2], e[3]
             if not lo <= a <= b <= hi:
@@ -395,14 +389,10 @@ def validate_event_log(log: EventLog) -> None:
                 if on[j] != 1:
                     raise EventLogError(f"reception at an off node: {e}")
                 on[j] = 0
-                if last_kind_per_node.get(node) != RECOVERY:
-                    raise EventLogError(f"reception without preceding recovery at node {node}")
-                last_kind_per_node[node] = RECEPTION
             if a > lo and on[a - 1 - lo] != 0:
                 raise EventLogError(f"block not maximal: node {a - 1} was on at {t}: {e}")
             pending_input = False
         last_t = t
-        prev = e
         if not t <= log.horizon:
             raise EventLogError(f"event beyond horizon: {e}")
 

@@ -45,6 +45,8 @@ from .core import (
     EventLog,
     InputModel,
     SystemConfig,
+    DETERMINISTIC,
+    EXPONENTIAL,
     INPUT,
     RECOVERY,
     RECEPTION,
@@ -56,6 +58,7 @@ __all__ = [
     "EmpiricalDistribution",
     "DominanceResult",
     "simulate",
+    "check_horizon",
     "sample_first_reception",
     "sample_interreception",
     "coupled_compare",
@@ -276,8 +279,32 @@ class StopRule:
 # The engine
 # ---------------------------------------------------------------------------
 
+# expected signals at the right end a horizon may ask for: a one-node log
+# peaks near 500 bytes a signal, so this caps it near 0.5 GB
+_MAX_SIGNALS = 2 ** 20
+
+
+def check_horizon(config: SystemConfig, time: float) -> None:
+    """Refuse a horizon whose expected number of signals at the right end,
+    which the run must draw and hold, exceeds ``_MAX_SIGNALS``."""
+    model = config.input
+    if model.is_permanent:
+        expected = time * config.rates.rate(config.right_node)
+    elif model.kind == EXPONENTIAL:
+        expected = time * model.rate
+    elif model.kind == DETERMINISTIC:
+        expected = time / model.duration
+    else:
+        expected = time / float(model.samples.mean())
+    if expected > _MAX_SIGNALS:
+        raise ValueError(f"horizon {time!r} expects about {expected:.4g} signals at "
+                         f"the right end, more than the cap of {_MAX_SIGNALS}")
+
+
 def _check_stop(config: SystemConfig, stop: StopRule) -> None:
-    if stop.kind in (FIRST_RECEPTION, RECEPTION_COUNT):
+    if stop.kind == HORIZON:
+        check_horizon(config, stop.time)
+    else:
         if config.is_empty:
             raise ValueError("reception stop rules need a nonempty chain")
         if not config.left_node <= stop.node <= config.right_node:

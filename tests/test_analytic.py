@@ -162,6 +162,17 @@ class TestChainTransform:
         for s in (0.5, 2.0):
             assert collapsed(s) == pytest.approx(nearly(s), rel=1e-9)
 
+    def test_overflowing_sums_refused(self):
+        model = core.InputModel.exponential(1.0)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            analytic.chain_transform(model, [1e308, 1e308])
+        # the float route (one rate) and the mpmath route (16 equal rates)
+        for rates in ([1e308], [1e307] * 16):
+            phi = analytic.chain_transform(model, rates)
+            assert 0.0 < phi(1.0) <= 1.0
+            with pytest.raises(ValueError, match="beyond the float range"):
+                phi(1e308)
+
     def test_long_general_chain_refused(self):
         model = core.InputModel.exponential(1.0)
         with pytest.raises(analytic.ComplexityError):
@@ -335,6 +346,17 @@ def _direct_alternating_mean(n, bits):
         return +value
 
 
+def _mp_log_mean(n, bits):
+    """The equal-rate mean as exp(sum_p e_p ln p) with mpmath logarithms, at
+    ``bits + n + 32`` working bits: the package's route before its integer
+    log table."""
+    exponents = analytic._prime_exponents(analytic._smallest_prime_factors(n))
+    with mpmath.workprec(bits + n + 32):
+        value = mpmath.exp(mpmath.fsum(e * mpmath.log(p) for p, e in exponents))
+    with mpmath.workprec(bits):
+        return +value
+
+
 def _k_loop_fraction(n):
     """The equal-rate mean as prod_k k^((-1)^k C(n, k)), one factor per k."""
     num = den = 1
@@ -378,6 +400,29 @@ class TestExactMeans:
                 bit_equal += got.value == want
                 cases += 1
         print(f"prime-exponent mean bit-equal to the direct sum in {bit_equal} of {cases} cases")
+
+    @pytest.mark.parametrize("w", [160, 2400])
+    def test_log_table_within_bounds(self, w):
+        spf = analytic._smallest_prime_factors(2048)
+        table = analytic._log_table(spf, w)
+        assert sorted(table) == [p for p in range(2, 2049) if spf[p] == p]
+        with mpmath.workprec(w + 64):
+            for p, (value, bound) in table.items():
+                exact = mpmath.ldexp(mpmath.log(p), w)
+                # every division rounds down, so an entry is never too large
+                assert 0 < exact - value < bound, (p, w)
+
+    def test_log_table_matches_mpmath_logs(self):
+        for n in (64, 128, 256, 512, 1024, 2048):
+            bits = n + 64
+            assert analytic.exact_mean_equal_rates(n, bits).value == _mp_log_mean(n, bits), n
+
+    def test_log_table_bound_refused(self, monkeypatch):
+        # no fixed-point bits to spare for the table's error: the bound check,
+        # an if rather than an assert, refuses under python -O too
+        monkeypatch.setattr(analytic, "_LOG_SLACK_BITS", 0)
+        with pytest.raises(analytic.PrecisionError, match="log table bounds the error"):
+            analytic._exact_mean.__wrapped__(64, 128)
 
     def test_rational_matches_k_loop(self):
         for n in range(1, 17):

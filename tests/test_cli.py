@@ -228,10 +228,20 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "usage error: bad stop spec" in err
 
+    def test_huge_horizon_is_usage_error(self, capsys):
+        code, out, err = run_cli(["simulate", "--rates", "explicit:1", "--input", "exp:1",
+                                  "--stop", "horizon:1e300"], capsys)
+        assert code == 1 and out == ""
+        assert "usage error: bad stop spec" in err
+        assert "expects about 1e+300 signals" in err and "cap of 1048576" in err
+
     @pytest.mark.parametrize("argv", [
         ["transform", "--rates", "explicit:1", "--input", "exp:1", "--s-grid", "nan,inf"],
         ["limit", "--rates", "linear:1", "--certify", "5", "--interval", "0,inf"],
-    ], ids=["transform-nan-inf", "certify-infinite-interval"])
+        ["transform", "--rates", "explicit:1e308", "--input", "exp:1", "--s-grid", "1e308"],
+        ["transform", "--rates", "explicit:1e308,1e308", "--input", "exp:1", "--s-grid", "1"],
+    ], ids=["transform-nan-inf", "certify-infinite-interval", "transform-s-plus-rate",
+            "transform-rate-sum"])
     def test_non_finite_argument_is_two(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""

@@ -264,3 +264,33 @@ class TestEventLog:
         log.events.insert(first_rec, log.events[first_rec])
         with pytest.raises(AssertionError):
             core.validate_event_log(log)
+
+
+_REC, _IN, _RX = core.RECOVERY, core.INPUT, core.RECEPTION
+# both nodes of 1..2 recover, then one input is received by the whole chain
+_VALID_EVENTS = [(_REC, 0.5, 2, 2), (_REC, 0.6, 1, 1), (_IN, 1.0, None, None), (_RX, 1.0, 1, 2)]
+
+
+@pytest.mark.parametrize("events, restricted, horizon, message", [
+    ([(_REC, 0.5, 2, 2), (_REC, 0.4, 1, 1)], False, 2.0, "event times decrease"),
+    ([(_REC, 0.5, 3, 3)], False, 2.0, "recovery outside range"),
+    (_VALID_EVENTS[:3] + [(_RX, 1.0, 0, 2)], False, 2.0, "reception block outside range"),
+    ([(_REC, 0.5, 2, 2), (_REC, 0.7, 2, 2)], False, 2.0, "recovery of a node already on"),
+    ([(_REC, 0.5, 2, 2), (_IN, 1.0, None, None), (_REC, 1.0, 1, 1)], False, 2.0,
+     "recovery inside an input tick"),
+    ([(_REC, 0.5, 2, 2), (_IN, 1.0, None, None)], True, 2.0,
+     "restricted logs carry no input events"),
+    ([(_REC, 0.5, 2, 2), (_RX, 1.0, 2, 2)], False, 2.0, "reception without a same-instant input"),
+    (_VALID_EVENTS[:3] + [(_RX, 1.0, 1, 1)], False, 2.0, "must reach the right end"),
+    ([(_REC, 0.6, 1, 1), (_IN, 1.0, None, None), (_RX, 1.0, 2, 2)], False, 2.0,
+     "reception at an off node"),
+    (_VALID_EVENTS[:3] + [(_RX, 1.0, 2, 2)], False, 2.0, "block not maximal"),
+    (_VALID_EVENTS, False, 0.9, "event beyond horizon"),
+], ids=["times-decrease", "recovery-range", "block-range", "recovery-on", "recovery-in-tick",
+        "restricted-input", "reception-no-input", "block-short", "reception-off",
+        "block-not-maximal", "beyond-horizon"])
+def test_event_log_breach(events, restricted, horizon, message):
+    core.validate_event_log(core.EventLog(1, 2, 2.0, False, _VALID_EVENTS))
+    log = core.EventLog(1, 2, horizon, False, events, restricted)
+    with pytest.raises(core.EventLogError, match=message):
+        core.validate_event_log(log)

@@ -677,6 +677,22 @@ class TestEngineEdges:
         with pytest.raises(ValueError):
             sim.StopRule.reception_count(1, 0)
 
+    @pytest.mark.parametrize("model, per_unit", [
+        (core.InputModel.exponential(4.0), 4.0),
+        (core.InputModel.deterministic(0.5), 2.0),
+        (core.InputModel.empirical([0.25, 0.75]), 2.0),
+        (core.InputModel.permanent(), 3.0),
+    ], ids=["exp", "det", "empirical", "permanent"])
+    def test_huge_horizon_refused(self, model, per_unit):
+        # permanent input: the right node's recovery rate, 3
+        cfg = core.SystemConfig(1, 2, core.RateSchedule.explicit([1.0, 3.0]), model)
+        cap = sim._MAX_SIGNALS
+        sim.check_horizon(cfg, cap / per_unit)
+        with pytest.raises(ValueError, match=f"expects about .* the cap of {cap}"):
+            sim.check_horizon(cfg, 2 * cap / per_unit)
+        with pytest.raises(ValueError, match=r"horizon 1e\+300 expects about"):
+            sim.simulate(cfg, sim.RandomnessPlan(0, 0), sim.StopRule.horizon(1e300))
+
     def test_reception_count_stop(self):
         cfg = unit_chain(2, core.InputModel.permanent())
         log = sim.simulate(cfg, sim.RandomnessPlan(17, 0), sim.StopRule.reception_count(1, 5))
