@@ -123,7 +123,7 @@ def transform_of_input(model: InputModel) -> LaplaceEval:
         raise PermanentInputError(
             "permanent input is the symbol [0], not an interval law; "
             "apply permanent_reduce to the configuration first")
-    law = _input_law(model)
+    law = _guarded(_input_law(model), model, 0.0)
     if model.kind == EXPONENTIAL:
         return LaplaceEval(law, "closed-form", f"exp({model.rate})")
     if model.kind == DETERMINISTIC:
@@ -199,13 +199,25 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
         fn = _float_chain(model, groups)
     else:
         fn = _mp_chain(model, groups, len(rs) + 53 + _GUARD_BITS)
+    return LaplaceEval(_guarded(fn, model, top), "composite",
+                       f"{base.label} -> chain({len(rs)})")
+
+
+def _guarded(fn, model: InputModel, top: float):
+    """``fn`` with phi(0) = 0 and a refusal of any s at which the input law's
+    largest argument s + top, plus an exponential input's rate in its
+    denominator, passes the float range."""
+    rho = model.rate if model.kind == EXPONENTIAL else 0.0
 
     def checked(s):
-        if not math.isfinite(s + top):
-            raise ValueError(f"s = {s!r} plus the rate sum {top!r} is beyond the float range")
+        if not math.isfinite(s + top + rho):
+            raise ValueError(f"s = {s!r} plus the rate sum {top!r} and the input "
+                             f"rate {rho!r} is beyond the float range")
+        if s == 0.0:
+            return 0.0
         return fn(s)
 
-    return LaplaceEval(checked, "composite", f"{base.label} -> chain({len(rs)})")
+    return checked
 
 
 def _signed_binomials(c: int) -> list[int]:
@@ -223,8 +235,6 @@ def _float_chain(model: InputModel, groups):
     phi_in = _input_law(model)
 
     def fn(s):
-        if s == 0.0:
-            return 0.0
         return math.exp(float(np.sum(weights * np.log(phi_in(s + sums)))))
 
     return fn
@@ -242,8 +252,6 @@ def _mp_chain(model: InputModel, groups, bits: int):
     phi_in = _input_mp(model)
 
     def fn(s):
-        if s == 0.0:
-            return 0.0
         with mpmath.workprec(bits):
             x = mpmath.mpf(s)
             total = mpmath.fsum(w * mpmath.log(phi_in(x + sigma)) for sigma, w in table)

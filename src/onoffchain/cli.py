@@ -56,8 +56,6 @@ def parse_rates(text: str) -> core.RateSchedule:
             return core.RateSchedule.log_square()
         if head == "explicit":
             return core.RateSchedule.explicit([float(x) for x in rest.split(",")])
-    except UsageError:
-        raise
     except (ValueError, core.ScheduleError) as exc:
         raise UsageError(f"bad rate spec {text!r}: {exc}") from exc
     raise UsageError(f"unknown rate family {head!r} in {text!r}")
@@ -345,8 +343,6 @@ _COMMANDS = {
 def run(args) -> int:
     try:
         return _COMMANDS[args.command](args)
-    except UsageError:
-        raise
     except (ValueError, ArithmeticError, RuntimeError, core.EventLogError) as exc:
         print(f"onoffchain: {exc}", file=sys.stderr)
         return NUMERIC_EXIT

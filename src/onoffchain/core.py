@@ -454,6 +454,7 @@ class InvalidSequenceError(ValueError):
 def validate_signal_recovery(seq: SignalRecoverySequence) -> ValidationReport:
     """Check the four sequence axioms on a finite window.
 
+    Every node of the range needs a reception and a recovery list.
     Receptions of the right neighbour that land in a node's final off gap,
     still open at the window end, cannot be judged against the blocked-gap
     axiom (the closing recovery lies beyond the window); they are reported
@@ -462,16 +463,18 @@ def validate_signal_recovery(seq: SignalRecoverySequence) -> ValidationReport:
     if seq.node_hi < seq.node_lo:
         raise DegenerateRangeError("sequence has an empty node range")
     violations: list[Violation] = []
-    excluded: list[Violation] = []
 
     for node in seq.nodes():
-        s = seq.receptions.get(node, (0.0,))
-        r = seq.recoveries.get(node, ())
+        if node not in seq.receptions or node not in seq.recoveries:
+            violations.append(Violation("interleaving", node, 0.0,
+                                        "node lacks a reception or a recovery list"))
+            continue
+        s, r = seq.receptions[node], seq.recoveries[node]
         if not s or s[0] != 0.0:
             violations.append(Violation("interleaving", node, 0.0,
                                         "reception list must start at the conventional 0"))
             continue
-        for x in list(s) + list(r):
+        for x in (*s, *r):
             if not math.isfinite(x):
                 violations.append(Violation("discreteness", node, x, "non-finite time"))
         if len(r) not in (len(s) - 1, len(s)):
@@ -479,59 +482,51 @@ def validate_signal_recovery(seq: SignalRecoverySequence) -> ValidationReport:
                                         f"{len(r)} recoveries cannot interleave "
                                         f"{len(s) - 1} receptions"))
             continue
-        ok = True
         for k, rk in enumerate(r):
             if not s[k] < rk:
                 violations.append(Violation("interleaving", node, rk,
                                             f"recovery {k + 1} at {rk} not after reception at {s[k]}"))
-                ok = False
                 break
             if k + 1 < len(s) and not rk < s[k + 1]:
                 violations.append(Violation("interleaving", node, s[k + 1],
                                             f"reception {k + 1} at {s[k + 1]} not after recovery at {rk}"))
-                ok = False
                 break
-        if not ok:
-            continue
-        upper = max(s[-1], r[-1] if r else 0.0)
-        if upper > seq.window:
-            violations.append(Violation("discreteness", node, upper,
-                                        "event beyond the declared window"))
+        else:
+            upper = max(s[-1], r[-1] if r else 0.0)
+            if upper > seq.window:
+                violations.append(Violation("discreteness", node, upper,
+                                            "event beyond the declared window"))
 
     if violations:
-        return ValidationReport(tuple(violations), tuple(excluded))
+        return ValidationReport(tuple(violations))
 
+    # every list is now finite and strictly increasing
+    excluded: list[Violation] = []
+    s_here = seq.receptions[seq.node_lo]
+    here = set(s_here)
     for node in range(seq.node_lo, seq.node_hi):
-        s_here = seq.receptions.get(node, (0.0,))
-        s_right = set(seq.receptions.get(node + 1, (0.0,)))
+        s_right = seq.receptions[node + 1]
+        right = set(s_right)
         # containment: receptions here must also appear at the right neighbour
         for t in s_here[1:]:
-            if t not in s_right:
+            if t not in right:
                 violations.append(Violation("containment", node, t,
                                             f"reception at {t} absent at node {node + 1}"))
-        # blocked-gap: right-neighbour receptions missing here must fall in
-        # an off gap (s_{k-1}, r_k] of this node
-        here_set = set(s_here)
-        r_here = seq.recoveries.get(node, ())
-        for t in sorted(seq.receptions.get(node + 1, (0.0,))[1:]):
-            if t in here_set:
+        # blocked-gap: a right-neighbour reception missing here must find this node
+        # off just before t; with k recoveries before t, off means t > s_k
+        r_here = seq.recoveries[node]
+        for t in s_right[1:]:
+            if t in here:
                 continue
-            k = bisect_left(r_here, t)    # first recovery >= t
-            if k < len(r_here):
-                if t > s_here[k]:
-                    continue              # lies in (s_{k-1}, r_k], allowed
+            k = bisect_left(r_here, t)
+            if not (k < len(s_here) and t > s_here[k]):
                 violations.append(Violation("blocked-gap", node, t,
-                                            f"reception at {t} skipped node {node} "
-                                            f"while it was on"))
-            elif len(s_here) == len(r_here) + 1 and t > s_here[-1]:
-                # node is off from its last reception to the window end; the
-                # closing recovery lies outside the window: boundary caveat
+                                            f"reception at {t} skipped node {node} while it was on"))
+            elif k == len(r_here):
+                # the closing recovery lies outside the window: boundary caveat
                 excluded.append(Violation("blocked-gap", node, t,
                                           "in the final off gap, still open at the window end"))
-            else:
-                violations.append(Violation("blocked-gap", node, t,
-                                            f"reception at {t} skipped node {node} "
-                                            f"while it was on"))
+        s_here, here = s_right, right
     return ValidationReport(tuple(violations), tuple(excluded))
 
 
@@ -622,7 +617,7 @@ class DynamicsReport:
     ``persistence_violations``: a node switched off while some node to its
     right was off just before (it should have stayed on).
     ``suffix_violations``: a switch-off block that is not a contiguous batch
-    reaching the rightmost node of the range.
+    reaching the rightmost node of the range, or that lists a node twice.
     Density of reception times cannot be decided from finite data; the
     report only bins observed receptions and states the minimal gap seen.
     """
@@ -650,65 +645,50 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> Dynami
         raise DimensionMismatchError("trajectory and sequence windows differ")
 
     notes = []
-    cadlag_ok = True
+    by_time: dict[float, list[int]] = {}
     for node in traj.nodes():
+        if not (node in traj.intervals and node in seq.receptions and node in seq.recoveries):
+            raise DimensionMismatchError(f"node {node} is absent from the trajectory or the sequence")
         prev_end = 0.0
         for a, b in traj.intervals[node]:
             end = traj.window if b is None else b
             if not (prev_end < a < end <= traj.window):
-                cadlag_ok = False
                 notes.append(f"node {node}: malformed on-interval [{a}, {b})")
                 break
             prev_end = end
-
-    # group switch-offs by instant
-    by_time: dict[float, list[int]] = {}
-    for node in seq.nodes():
+        # group switch-offs by instant; each list comes out in node order
         for t in seq.receptions[node][1:]:
             by_time.setdefault(t, []).append(node)
 
     persistence = []
     suffix = []
     hi = traj.node_hi
-    for t, nodes in by_time.items():
-        nodes.sort()
-        contiguous = nodes[-1] - nodes[0] + 1 == len(nodes)
-        if not contiguous or nodes[-1] != hi:
-            # some node above a switching one did not switch; classify by its
-            # state just before t
-            top = nodes[-1]
-            probe = None
-            if not contiguous:
-                for a, b in zip(nodes, nodes[1:]):
-                    if b != a + 1:
-                        probe = a + 1
-                        break
-            else:
-                probe = top + 1
-            if probe is not None and probe <= hi:
-                if traj.state_before(probe, t) == 0:
-                    persistence.append((probe - 1, t, probe))
-                else:
-                    suffix.append((t, f"nodes {nodes} switched off but node {probe} "
-                                      f"stayed on"))
-            else:
-                suffix.append((t, f"switch-off block {nodes} does not reach node {hi}"))
-
-    all_receptions = sorted(t for node in seq.nodes() for t in seq.receptions[node][1:])
     bins = _RECEPTION_BINS
     w = traj.window if traj.window > 0 else 1.0
-    edges = [w * i / bins for i in range(bins + 1)]
     counts = [0] * bins
-    for t in all_receptions:
-        idx = min(int(t / w * bins), bins - 1)
-        counts[idx] += 1
-    bin_rows = tuple((edges[i], edges[i + 1], counts[i]) for i in range(bins))
-    distinct = sorted(set(all_receptions))
-    min_gap = None
-    if len(distinct) > 1:
-        min_gap = min(b - a for a, b in zip(distinct, distinct[1:]))
+    for t, nodes in by_time.items():
+        counts[min(int(t / w * bins), bins - 1)] += len(nodes)
+        # the probe: the first node above the lowest one that did not switch off
+        switched = set(nodes)
+        probe = nodes[0] + 1
+        while probe in switched:
+            probe += 1
+        if probe <= hi:
+            # classify it by its state just before t
+            if traj.state_before(probe, t) == 0:
+                persistence.append((probe - 1, t, probe))
+            else:
+                suffix.append((t, f"nodes {nodes} switched off but node {probe} "
+                                  f"stayed on"))
+        elif len(switched) < len(nodes):
+            suffix.append((t, f"switch-off block {nodes} lists a node twice"))
 
-    return DynamicsReport(cadlag_ok, tuple(notes), tuple(persistence),
+    edges = [w * i / bins for i in range(bins + 1)]
+    bin_rows = tuple((edges[i], edges[i + 1], counts[i]) for i in range(bins))
+    instants = sorted(by_time)
+    min_gap = min((b - a for a, b in zip(instants, instants[1:])), default=None)
+
+    return DynamicsReport(not notes, tuple(notes), tuple(persistence),
                           tuple(suffix), bin_rows, min_gap)
 
 

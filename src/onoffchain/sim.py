@@ -279,26 +279,28 @@ class StopRule:
 # The engine
 # ---------------------------------------------------------------------------
 
-# expected signals at the right end a horizon may ask for: a one-node log
-# peaks near 500 bytes a signal, so this caps it near 0.5 GB
-_MAX_SIGNALS = 2 ** 20
+# expected events a horizon may ask for: a log holds up to n + 2 events a
+# signal on n nodes, and a one-node log peaks near 500 bytes a signal, so
+# this caps it near 0.5 GB
+_MAX_EVENTS = 3 * 2 ** 20
 
 
 def check_horizon(config: SystemConfig, time: float) -> None:
-    """Refuse a horizon whose expected number of signals at the right end,
-    which the run must draw and hold, exceeds ``_MAX_SIGNALS``."""
+    """Refuse a horizon whose expected number of events, (n + 2) times the
+    signals expected at the right end, exceeds ``_MAX_EVENTS``."""
     model = config.input
     if model.is_permanent:
-        expected = time * config.rates.rate(config.right_node)
+        signals = time * config.rates.rate(config.right_node)
     elif model.kind == EXPONENTIAL:
-        expected = time * model.rate
+        signals = time * model.rate
     elif model.kind == DETERMINISTIC:
-        expected = time / model.duration
+        signals = time / model.duration
     else:
-        expected = time / float(model.samples.mean())
-    if expected > _MAX_SIGNALS:
-        raise ValueError(f"horizon {time!r} expects about {expected:.4g} signals at "
-                         f"the right end, more than the cap of {_MAX_SIGNALS}")
+        signals = time / float(model.samples.mean())
+    expected = (config.n_nodes + 2) * signals
+    if expected > _MAX_EVENTS:
+        raise ValueError(f"horizon {time!r} expects about {expected:.4g} events, "
+                         f"more than the cap of {_MAX_EVENTS}")
 
 
 def _check_stop(config: SystemConfig, stop: StopRule) -> None:
@@ -538,15 +540,13 @@ def ks_statistic(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     if a.count == 0 or b.count == 0:
         raise ValueError("need nonempty samples")
     xs = np.concatenate([a.samples, b.samples])
-    fa = np.searchsorted(a.samples, xs, side="right") / a.count
-    fb = np.searchsorted(b.samples, xs, side="right") / b.count
-    return float(np.max(np.abs(fa - fb)))
+    return float(np.max(np.abs(a.cdf(xs) - b.cdf(xs))))
 
 
 def ks_two_sample_critical(na: int, nb: int, alpha: float) -> float:
-    """Asymptotic two-sample rejection threshold at level alpha."""
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    return c * math.sqrt((na + nb) / (na * nb))
+    """Asymptotic two-sample rejection threshold at level alpha: the band at
+    the effective sample size na nb / (na + nb)."""
+    return dkw_band(na * nb / (na + nb), alpha)
 
 
 def ks_one_sample(dist: EmpiricalDistribution, cdf) -> float:
@@ -558,13 +558,13 @@ def ks_one_sample(dist: EmpiricalDistribution, cdf) -> float:
     return float(max(np.max(hi), np.max(lo)))
 
 
-def ks_one_sample_critical(n: int, alpha: float) -> float:
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(n)
-
-
-def dkw_band(n: int, alpha: float) -> float:
-    """Half-width of the level-(1-alpha) uniform CDF confidence band."""
+def dkw_band(n: float, alpha: float) -> float:
+    """Half-width of the level-(1-alpha) uniform CDF confidence band,
+    sqrt(ln(2/alpha) / (2n)); also the asymptotic one-sample KS threshold."""
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+
+
+ks_one_sample_critical = dkw_band
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,16 @@ class TestChainTransform:
             with pytest.raises(ValueError, match="beyond the float range"):
                 phi(1e308)
 
+    def test_overflowing_input_rate_refused(self):
+        # exponential input: s plus the rate sum plus the input rate is the
+        # denominator; at s = 1e308 it overflows, though phi = 1/2 in the bare law
+        model = core.InputModel.exponential(1e308)
+        bare, chain = analytic.transform_of_input(model), analytic.chain_transform(model, [1.0])
+        assert bare(1e307) == pytest.approx(1 / 11) and chain(1e307) == pytest.approx(1.0)
+        for phi in (bare, chain):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                phi(1e308)
+
     def test_long_general_chain_refused(self):
         model = core.InputModel.exponential(1.0)
         with pytest.raises(analytic.ComplexityError):

@@ -105,6 +105,16 @@ class TestCommands:
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_simulate_node_range(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--rates", "const:2", "--nodes", "3:4", "--input", "exp:1",
+             "--stop", "horizon:5", "--seed", "7"], capsys)
+        assert code == 0
+        assert any("--nodes 3:4" in l for l in out.splitlines() if l.startswith("#"))
+        rows = [l.split(",") for l in out.splitlines()
+                if l.startswith(("recovery,", "reception,"))]
+        assert rows and {int(r[2]) for r in rows} <= {3, 4}
+
     def test_simulate_sampling_mode(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--rates", "explicit:1,1", "--input", "permanent",
@@ -208,11 +218,17 @@ class TestExitCodes:
           "--interval", "0,1,2"], "--interval"),
         (["transform", "--rates", "explicit:1,2", "--input", "exp:1",
           "--s-grid", "0.1,,2"], "--s-grid"),
+        (["simulate", "--rates", "const:1", "--nodes", "1:x", "--input", "exp:1"], "--nodes"),
     ])
     def test_malformed_list_is_usage_error(self, capsys, argv, flag):
         code, _, err = run_cli(argv, capsys)
         assert code == 1
         assert f"usage error: bad {flag}" in err
+
+    def test_parametric_rates_need_nodes(self, capsys):
+        code, out, err = run_cli(["simulate", "--rates", "const:1", "--input", "exp:1"], capsys)
+        assert code == 1 and out == ""
+        assert "usage error: parametric schedules need an explicit --nodes lo:hi" in err
 
     def test_certify_needs_no_k(self, capsys):
         code, out, _ = run_cli(["limit", "--rates", "linear:1", "--certify", "20"], capsys)
@@ -233,15 +249,22 @@ class TestExitCodes:
                                   "--stop", "horizon:1e300"], capsys)
         assert code == 1 and out == ""
         assert "usage error: bad stop spec" in err
-        assert "expects about 1e+300 signals" in err and "cap of 1048576" in err
+        assert "expects about 3e+300 events" in err and "cap of 3145728" in err
+
+    def test_long_chain_horizon_is_usage_error(self, capsys):
+        code, out, err = run_cli(["simulate", "--rates", "const:4", "--nodes", "1:8",
+                                  "--input", "exp:1", "--stop", "horizon:1e6"], capsys)
+        assert code == 1 and out == ""
+        assert "expects about 1e+07 events" in err
 
     @pytest.mark.parametrize("argv", [
         ["transform", "--rates", "explicit:1", "--input", "exp:1", "--s-grid", "nan,inf"],
         ["limit", "--rates", "linear:1", "--certify", "5", "--interval", "0,inf"],
         ["transform", "--rates", "explicit:1e308", "--input", "exp:1", "--s-grid", "1e308"],
         ["transform", "--rates", "explicit:1e308,1e308", "--input", "exp:1", "--s-grid", "1"],
+        ["transform", "--rates", "explicit:1", "--input", "exp:1e308", "--s-grid", "1e308"],
     ], ids=["transform-nan-inf", "certify-infinite-interval", "transform-s-plus-rate",
-            "transform-rate-sum"])
+            "transform-rate-sum", "transform-input-rate"])
     def test_non_finite_argument_is_two(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""

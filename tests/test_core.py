@@ -134,6 +134,41 @@ class TestSequenceAxioms:
         with pytest.raises(core.DegenerateRangeError):
             core.validate_signal_recovery(seq)
 
+    @pytest.mark.parametrize("window, receptions, recoveries, axiom, detail", [
+        (4.0, {1: [0.5, 1.0]}, {1: [0.7]}, "interleaving", "start at the conventional 0"),
+        (4.0, {1: [0.0, math.nan]}, {1: [1.0]}, "discreteness", "non-finite time"),
+        (4.0, {1: [0.0]}, {1: [1.0, 2.0]}, "interleaving",
+         "2 recoveries cannot interleave 0 receptions"),
+        (4.0, {1: [0.0, 2.0]}, {1: [0.0]}, "interleaving",
+         "recovery 1 at 0.0 not after reception at 0.0"),
+        (4.0, {1: [0.0, 2.0]}, {1: [1.0, 5.0]}, "discreteness",
+         "event beyond the declared window"),
+        # node 1 is on over [1, 4) and recovers again at 5, yet misses t = 2
+        (6.0, {1: [0.0, 4.0], 2: [0.0, 2.0, 4.0]}, {1: [1.0, 5.0], 2: [1.5, 3.0]},
+         "blocked-gap", "reception at 2.0 skipped node 1 while it was on"),
+        (4.0, {1: [0.0], 2: [0.0]}, {2: []}, "interleaving",
+         "node lacks a reception or a recovery list"),
+    ], ids=["first-reception", "non-finite", "recovery-count", "recovery-not-after",
+            "beyond-window", "blocked-gap-recovers-later", "absent-node"])
+    def test_first_violation(self, window, receptions, recoveries, axiom, detail):
+        seq = core.SignalRecoverySequence(
+            1, max(receptions), window, {k: tuple(v) for k, v in receptions.items()},
+            {k: tuple(v) for k, v in recoveries.items()})
+        v = core.validate_signal_recovery(seq).violations[0]
+        assert v.axiom == axiom and v.node == 1 and detail in v.detail
+
+
+@pytest.mark.parametrize("absent", ["receptions", "recoveries"])
+def test_absent_node_refused(absent):
+    full = make_seq(4.0, {1: [0.0, 2.0], 2: [0.0, 2.0]}, {1: [1.0], 2: [0.5]})
+    lists = {"receptions": dict(full.receptions), "recoveries": dict(full.recoveries)}
+    del lists[absent][1]
+    seq = core.SignalRecoverySequence(1, 2, 4.0, **lists)
+    with pytest.raises(core.InvalidSequenceError, match="node 1.*lacks a reception or a recovery"):
+        core.to_on_off(seq)
+    with pytest.raises(core.DimensionMismatchError, match="node 1 is absent"):
+        core.check_dynamics(core.to_on_off(full), seq)
+
 
 class TestOnOff:
     def test_definition_example(self):
@@ -223,6 +258,44 @@ class TestDynamics:
         traj = core.OnOffTrajectory(1, 2, 4.0, {1: (), 2: ()})
         with pytest.raises(core.DimensionMismatchError):
             core.check_dynamics(traj, seq)
+
+    def test_window_mismatch(self):
+        seq = make_seq(4.0, {1: [0.0]}, {1: []})
+        traj = core.OnOffTrajectory(1, 1, 5.0, {1: ()})
+        with pytest.raises(core.DimensionMismatchError, match="windows differ"):
+            core.check_dynamics(traj, seq)
+
+    def test_malformed_interval_noted(self):
+        seq = make_seq(4.0, {1: [0.0, 1.0]}, {1: [2.0]})
+        traj = core.OnOffTrajectory(1, 1, 4.0, {1: ((2.0, 1.0),)})
+        report = core.check_dynamics(traj, seq)
+        assert not report.cadlag_ok and not report.passed
+        assert report.structural_notes == ("node 1: malformed on-interval [2.0, 1.0)",)
+
+    @pytest.mark.parametrize("receptions, intervals, persistence, suffix", [
+        # nodes 1 and 3 switch off at t = 1 around node 2, off just before
+        ({1: [0.0, 1.0], 2: [0.0], 3: [0.0, 1.0]},
+         {1: ((0.5, 1.0),), 2: ((1.5, None),), 3: ((0.7, 1.0),)}, ((1, 1.0, 2),), ()),
+        # ... and around node 2, on just before
+        ({1: [0.0, 1.0], 2: [0.0], 3: [0.0, 1.0]},
+         {1: ((0.5, 1.0),), 2: ((0.2, None),), 3: ((0.7, 1.0),)}, (),
+         ((1.0, "nodes [1, 3] switched off but node 2 stayed on"),)),
+        # node 1 listed twice hides node 2, on just before, from a count
+        ({1: [0.0, 1.0, 1.0], 2: [0.0], 3: [0.0, 1.0]},
+         {1: ((0.5, 1.0),), 2: ((0.2, None),), 3: ((0.7, 1.0),)}, (),
+         ((1.0, "nodes [1, 1, 3] switched off but node 2 stayed on"),)),
+        # a block that reaches the right end but lists node 2 twice
+        ({1: [0.0], 2: [0.0, 1.0, 1.0], 3: [0.0, 1.0]},
+         {1: (), 2: ((0.2, 1.0),), 3: ((0.7, 1.0),)}, (),
+         ((1.0, "switch-off block [2, 2, 3] lists a node twice"),)),
+    ], ids=["gap-off", "gap-on", "repeated-node", "repeated-node-at-end"])
+    def test_switch_off_block_rule(self, receptions, intervals, persistence, suffix):
+        seq = make_seq(4.0, receptions, {k: [] for k in receptions})
+        traj = core.OnOffTrajectory(1, 3, 4.0, intervals)
+        report = core.check_dynamics(traj, seq)
+        assert report.persistence_violations == persistence
+        assert report.suffix_violations == suffix
+        assert not report.passed
 
 
 class TestEventLog:

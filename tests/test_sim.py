@@ -684,14 +684,24 @@ class TestEngineEdges:
         (core.InputModel.permanent(), 3.0),
     ], ids=["exp", "det", "empirical", "permanent"])
     def test_huge_horizon_refused(self, model, per_unit):
-        # permanent input: the right node's recovery rate, 3
+        # permanent input: the right node's recovery rate, 3; a signal on
+        # two nodes makes up to four events
         cfg = core.SystemConfig(1, 2, core.RateSchedule.explicit([1.0, 3.0]), model)
-        cap = sim._MAX_SIGNALS
-        sim.check_horizon(cfg, cap / per_unit)
+        cap = sim._MAX_EVENTS
+        sim.check_horizon(cfg, cap / (4 * per_unit))
         with pytest.raises(ValueError, match=f"expects about .* the cap of {cap}"):
-            sim.check_horizon(cfg, 2 * cap / per_unit)
+            sim.check_horizon(cfg, 2 * cap / (4 * per_unit))
         with pytest.raises(ValueError, match=r"horizon 1e\+300 expects about"):
             sim.simulate(cfg, sim.RandomnessPlan(0, 0), sim.StopRule.horizon(1e300))
+
+    def test_long_chain_horizon_counts_events(self):
+        # 4e6 signals fit under the cap, but eight nodes make ten events a signal
+        cfg = core.SystemConfig(1, 8, core.RateSchedule.constant(4.0),
+                                core.InputModel.exponential(1.0))
+        with pytest.raises(ValueError, match=r"expects about 1e\+07 events"):
+            sim.check_horizon(cfg, 1e6)
+        with pytest.raises(ValueError, match="the cap of"):
+            sim.simulate(cfg, sim.RandomnessPlan(0, 0), sim.StopRule.horizon(1e6))
 
     def test_reception_count_stop(self):
         cfg = unit_chain(2, core.InputModel.permanent())

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,9 @@ _SHARED = {
     "structural": lambda: verify._structural_battery(
         [core.RateSchedule.explicit([1.0, 2.0]), core.RateSchedule.linear(1.0)],
         [core.InputModel.permanent(), core.InputModel.exponential(1.5)], 1, 9),
+    "bounds": lambda: verify._bounds(),
+    "theta": lambda: verify._theta_table(),
+    "determinism": lambda: verify._determinism(),
 }
 
 
@@ -85,6 +89,14 @@ _BREAKS = {
                     frozen.BlockedCandidate(frozenset(), 1, False),))),
     # every simulated log repeats a recovery
     "structural": (sim, "simulate", lambda got, *args: _tamper(got)),
+    # the CDF lower bound falls as t grows
+    "bounds": (limit, "cdf_lower_bound", lambda got, *args: 1.0 - got),
+    # every family is classified one case too high
+    "theta": (limit, "classify_rates",
+              lambda got, *args: dataclasses.replace(got, case=got.case + 1)),
+    # every simulated log ends with an input at a fresh random time
+    "determinism": (sim, "simulate", lambda got, *args: dataclasses.replace(
+        got, events=got.events + [(core.INPUT, got.horizon + random.random(), None, None)])),
 }
 
 
