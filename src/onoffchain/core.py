@@ -11,8 +11,9 @@ and the finite-window dynamics validators.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -459,10 +460,18 @@ def validate_signal_recovery(seq: SignalRecoverySequence) -> ValidationReport:
     still open at the window end, cannot be judged against the blocked-gap
     axiom (the closing recovery lies beyond the window); they are reported
     separately in ``boundary_excluded`` rather than as violations.
+
+    Each node's times become one float64 array and every rule is decided by
+    array operations, but the report is identical, violation for violation
+    and in the same order, to checking the axioms one time at a time: per
+    node the non-finite times, then the first interleaving breach or the
+    window breach; then per node pair the containment breaches and the
+    blocked-gap breaches, each in time order.  Times are compared as float64.
     """
     if seq.node_hi < seq.node_lo:
         raise DegenerateRangeError("sequence has an empty node range")
     violations: list[Violation] = []
+    arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     for node in seq.nodes():
         if node not in seq.receptions or node not in seq.recoveries:
@@ -474,60 +483,69 @@ def validate_signal_recovery(seq: SignalRecoverySequence) -> ValidationReport:
             violations.append(Violation("interleaving", node, 0.0,
                                         "reception list must start at the conventional 0"))
             continue
-        for x in (*s, *r):
-            if not math.isfinite(x):
-                violations.append(Violation("discreteness", node, x, "non-finite time"))
+        times = np.fromiter(chain(s, r), np.float64, len(s) + len(r))
+        for i in np.flatnonzero(~np.isfinite(times)).tolist():
+            x = s[i] if i < len(s) else r[i - len(s)]
+            violations.append(Violation("discreteness", node, x, "non-finite time"))
         if len(r) not in (len(s) - 1, len(s)):
             violations.append(Violation("interleaving", node, s[-1],
                                         f"{len(r)} recoveries cannot interleave "
                                         f"{len(s) - 1} receptions"))
             continue
-        for k, rk in enumerate(r):
-            if not s[k] < rk:
-                violations.append(Violation("interleaving", node, rk,
-                                            f"recovery {k + 1} at {rk} not after reception at {s[k]}"))
-                break
-            if k + 1 < len(s) and not rk < s[k + 1]:
+        # the interleaved order s_0, r_1, s_1, r_2, ... must increase strictly
+        merged = np.empty_like(times)
+        merged[0::2] = times[:len(s)]
+        merged[1::2] = times[len(s):]
+        breach = np.flatnonzero(~(merged[:-1] < merged[1:]))
+        if breach.size:
+            k, odd = divmod(int(breach[0]), 2)
+            if odd:
                 violations.append(Violation("interleaving", node, s[k + 1],
-                                            f"reception {k + 1} at {s[k + 1]} not after recovery at {rk}"))
-                break
-        else:
-            upper = max(s[-1], r[-1] if r else 0.0)
-            if upper > seq.window:
-                violations.append(Violation("discreteness", node, upper,
-                                            "event beyond the declared window"))
+                                            f"reception {k + 1} at {s[k + 1]} not after recovery at {r[k]}"))
+            else:
+                violations.append(Violation("interleaving", node, r[k],
+                                            f"recovery {k + 1} at {r[k]} not after reception at {s[k]}"))
+            continue
+        upper = r[-1] if len(r) == len(s) else s[-1]    # the last switch
+        if upper > seq.window:
+            violations.append(Violation("discreteness", node, upper,
+                                        "event beyond the declared window"))
+        arrays[node] = times[:len(s)], times[len(s):]
 
     if violations:
         return ValidationReport(tuple(violations))
 
     # every list is now finite and strictly increasing
     excluded: list[Violation] = []
-    s_here = seq.receptions[seq.node_lo]
-    here = set(s_here)
     for node in range(seq.node_lo, seq.node_hi):
-        s_right = seq.receptions[node + 1]
-        right = set(s_right)
+        (s_here, r_here), s_right = arrays[node], arrays[node + 1][0]
         # containment: receptions here must also appear at the right neighbour
-        for t in s_here[1:]:
-            if t not in right:
-                violations.append(Violation("containment", node, t,
-                                            f"reception at {t} absent at node {node + 1}"))
+        t = s_here[1:]
+        for i in np.flatnonzero(~_members(t, s_right)).tolist():
+            x = seq.receptions[node][i + 1]
+            violations.append(Violation("containment", node, x,
+                                        f"reception at {x} absent at node {node + 1}"))
         # blocked-gap: a right-neighbour reception missing here must find this node
         # off just before t; with k recoveries before t, off means t > s_k
-        r_here = seq.recoveries[node]
-        for t in s_right[1:]:
-            if t in here:
-                continue
-            k = bisect_left(r_here, t)
-            if not (k < len(s_here) and t > s_here[k]):
-                violations.append(Violation("blocked-gap", node, t,
-                                            f"reception at {t} skipped node {node} while it was on"))
-            elif k == len(r_here):
-                # the closing recovery lies outside the window: boundary caveat
-                excluded.append(Violation("blocked-gap", node, t,
-                                          "in the final off gap, still open at the window end"))
-        s_here, here = s_right, right
+        t = s_right[1:]
+        k = np.searchsorted(r_here, t, side="left")
+        off = (k < len(s_here)) & (t > s_here[np.minimum(k, len(s_here) - 1)])
+        missing = ~_members(t, s_here)
+        for i in np.flatnonzero(missing & ~off).tolist():
+            x = seq.receptions[node + 1][i + 1]
+            violations.append(Violation("blocked-gap", node, x,
+                                        f"reception at {x} skipped node {node} while it was on"))
+        # the closing recovery lies outside the window: boundary caveat
+        for i in np.flatnonzero(missing & off & (k == len(r_here))).tolist():
+            excluded.append(Violation("blocked-gap", node, seq.receptions[node + 1][i + 1],
+                                      "in the final off gap, still open at the window end"))
     return ValidationReport(tuple(violations), tuple(excluded))
+
+
+def _members(t: np.ndarray, sorted_times: np.ndarray) -> np.ndarray:
+    """Which entries of t occur in the non-empty increasing array ``sorted_times``."""
+    k = np.minimum(np.searchsorted(sorted_times, t), len(sorted_times) - 1)
+    return sorted_times[k] == t
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +596,10 @@ def to_on_off(seq: SignalRecoverySequence) -> OnOffTrajectory:
     for node in seq.nodes():
         s = seq.receptions[node]
         r = seq.recoveries[node]
-        pairs = []
-        for k, rk in enumerate(r):
-            end = s[k + 1] if k + 1 < len(s) else None
-            pairs.append((rk, end))
-        intervals[node] = tuple(pairs)
+        pairs = tuple(zip(r, islice(s, 1, None)))
+        if len(r) == len(s):            # still on when the window closes
+            pairs += ((r[-1], None),)
+        intervals[node] = pairs
     return OnOffTrajectory(seq.node_lo, seq.node_hi, seq.window, intervals)
 
 
@@ -638,55 +655,92 @@ class DynamicsReport:
 def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> DynamicsReport:
     """Validate trajectory structure and the switch-off rules against the
     reception times of ``seq``, restricted to the available node range; the
-    receptions are counted in ``_RECEPTION_BINS`` equal bins of the window."""
+    receptions are counted in ``_RECEPTION_BINS`` equal bins of the window.
+
+    Every reception must lie in the window (0, window]; one outside it, NaN
+    and infinities included, is refused with ``DimensionMismatchError``
+    naming the node.  The switch-offs are grouped by instant with one sort.
+    A group that lists exactly the nodes k..node_hi, each once, obeys both
+    rules; every other group is probed one at a time, ordered by the first
+    node (then the first position in that node's list) that holds its
+    instant.  The report is identical to grouping and probing every
+    reception one at a time.
+    """
     if (traj.node_lo, traj.node_hi) != (seq.node_lo, seq.node_hi):
         raise DimensionMismatchError("trajectory and sequence node ranges differ")
     if traj.window != seq.window:
         raise DimensionMismatchError("trajectory and sequence windows differ")
 
+    window = traj.window
     notes = []
-    by_time: dict[float, list[int]] = {}
+    times = []                          # per node, its receptions after the 0
     for node in traj.nodes():
         if not (node in traj.intervals and node in seq.receptions and node in seq.recoveries):
             raise DimensionMismatchError(f"node {node} is absent from the trajectory or the sequence")
-        prev_end = 0.0
-        for a, b in traj.intervals[node]:
-            end = traj.window if b is None else b
-            if not (prev_end < a < end <= traj.window):
+        iv = traj.intervals[node]
+        if iv:
+            starts = np.fromiter(map(itemgetter(0), iv), np.float64, len(iv))
+            ends = np.fromiter(map(itemgetter(1), iv), np.float64, len(iv))  # None -> nan
+            for i in np.flatnonzero(np.isnan(ends)).tolist():
+                if iv[i][1] is None:    # still on: the interval ends with the window
+                    ends[i] = window
+            prev_ends = np.concatenate(([0.0], ends[:-1]))
+            ok = (prev_ends < starts) & (starts < ends) & (ends <= window)
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                a, b = iv[bad[0]]
                 notes.append(f"node {node}: malformed on-interval [{a}, {b})")
-                break
-            prev_end = end
-        # group switch-offs by instant; each list comes out in node order
-        for t in seq.receptions[node][1:]:
-            by_time.setdefault(t, []).append(node)
+        s = seq.receptions[node]
+        rx = np.fromiter(islice(s, 1, None), np.float64, max(len(s) - 1, 0))
+        outside = np.flatnonzero(~((rx > 0.0) & (rx <= window)))
+        if outside.size:
+            raise DimensionMismatchError(f"node {node}: reception at {s[outside[0] + 1]} "
+                                         f"outside the window (0, {window}]")
+        times.append(rx)
 
+    # group the switch-offs by instant; within a group the nodes come in node order
+    hi = traj.node_hi
+    t = np.concatenate(times) if times else np.empty(0)
+    owner = np.repeat(np.arange(traj.node_lo, hi + 1), [len(x) for x in times])
+    order = np.argsort(t, kind="stable")
+    t_sorted, nodes_sorted = t[order], owner[order]
+    opens = np.ones(len(t), dtype=bool)     # each group's first position
+    opens[1:] = t_sorted[1:] != t_sorted[:-1]
+    head = np.flatnonzero(opens)
+    tail = np.flatnonzero(np.roll(opens, -1))
+    # a group is k, k+1, ..., hi with each node once, or it is irregular
+    irregular = nodes_sorted[tail] != hi
+    inside_step = ~opens[1:] & (np.diff(nodes_sorted) != 1)
+    irregular[np.cumsum(opens)[1:][inside_step] - 1] = True
+    groups = np.flatnonzero(irregular)
+    first_seen = order[head[groups]]    # position in the node-by-node order
     persistence = []
     suffix = []
-    hi = traj.node_hi
-    bins = _RECEPTION_BINS
-    w = traj.window if traj.window > 0 else 1.0
-    counts = [0] * bins
-    for t, nodes in by_time.items():
-        counts[min(int(t / w * bins), bins - 1)] += len(nodes)
+    for g in groups[np.argsort(first_seen)].tolist():
+        nodes = nodes_sorted[head[g]:tail[g] + 1].tolist()
+        t0 = float(t_sorted[head[g]])
         # the probe: the first node above the lowest one that did not switch off
         switched = set(nodes)
         probe = nodes[0] + 1
         while probe in switched:
             probe += 1
         if probe <= hi:
-            # classify it by its state just before t
-            if traj.state_before(probe, t) == 0:
-                persistence.append((probe - 1, t, probe))
+            # classify it by its state just before t0
+            if traj.state_before(probe, t0) == 0:
+                persistence.append((probe - 1, t0, probe))
             else:
-                suffix.append((t, f"nodes {nodes} switched off but node {probe} "
-                                  f"stayed on"))
+                suffix.append((t0, f"nodes {nodes} switched off but node {probe} "
+                                   f"stayed on"))
         elif len(switched) < len(nodes):
-            suffix.append((t, f"switch-off block {nodes} lists a node twice"))
+            suffix.append((t0, f"switch-off block {nodes} lists a node twice"))
 
+    bins = _RECEPTION_BINS
+    w = window if window > 0 else 1.0
+    counts = np.bincount(np.minimum((t / w * bins).astype(np.int64), bins - 1),
+                         minlength=bins).tolist()
     edges = [w * i / bins for i in range(bins + 1)]
     bin_rows = tuple((edges[i], edges[i + 1], counts[i]) for i in range(bins))
-    instants = sorted(by_time)
-    min_gap = min((b - a for a, b in zip(instants, instants[1:])), default=None)
+    min_gap = float(np.diff(t_sorted[head]).min()) if len(head) > 1 else None
 
     return DynamicsReport(not notes, tuple(notes), tuple(persistence),
                           tuple(suffix), bin_rows, min_gap)

@@ -297,6 +297,61 @@ class TestDynamics:
         assert report.suffix_violations == suffix
         assert not report.passed
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 5.0],
+                             ids=["nan", "inf", "negative", "beyond-window"])
+    def test_reception_outside_window_refused(self, t):
+        seq = make_seq(4.0, {1: [0.0, 1.0], 2: [0.0, 1.0, t]}, {1: [0.5], 2: [0.5, 2.0]})
+        traj = core.OnOffTrajectory(1, 2, 4.0, {1: ((0.5, 1.0),), 2: ((0.5, 1.0), (2.0, None))})
+        with pytest.raises(core.DimensionMismatchError,
+                           match=rf"node 2: reception at {t} outside the window \(0, 4.0\]"):
+            core.check_dynamics(traj, seq)
+
+
+def _python_scalars(values, types):
+    return all(type(v) is t for v, t in zip(values, types, strict=True))
+
+
+def test_report_fields_are_python_scalars():
+    cfg = core.SystemConfig(1, 4, core.RateSchedule.constant(1.0),
+                            core.InputModel.exponential(1.3))
+    seq = core.log_to_sequence(sim.simulate(cfg, sim.RandomnessPlan(36, 0),
+                                            sim.StopRule.horizon(30.0)))
+    report = core.validate_signal_recovery(seq)
+    traj = core.to_on_off(seq)
+    dyn = core.check_dynamics(traj, seq)
+    assert report.boundary_excluded and dyn.passed
+    assert all(type(v.time) is float for v in report.boundary_excluded)
+    assert all(_python_scalars(row, (float, float, int)) for row in dyn.reception_bins)
+    assert type(dyn.min_reception_gap) is float
+    assert all(_python_scalars(pair, (float, float)) for node in traj.nodes()
+               for pair in traj.intervals[node][:-1])
+    back = core.switch_times(traj)
+    assert back.receptions == seq.receptions and back.recoveries == seq.recoveries
+    assert all(type(t) is float for node in back.nodes()
+               for t in back.receptions[node] + back.recoveries[node])
+
+    broken = [  # discreteness, interleaving, containment and blocked-gap times
+        make_seq(4.0, {1: [0.0, math.nan]}, {1: [1.0]}),
+        make_seq(4.0, {1: [0.0, 1.0]}, {1: [2.0]}),
+        make_seq(3.0, {1: [0.0, 1.5], 2: [0.0, 2.0]}, {1: [1.0], 2: [0.5]}),
+        make_seq(6.0, {1: [0.0, 4.0], 2: [0.0, 2.0, 4.0]}, {1: [1.0], 2: [1.5, 3.0]}),
+    ]
+    for bad in broken:
+        assert all(type(v.time) is float for v in core.validate_signal_recovery(bad).violations)
+
+    seq = make_seq(4.0, {1: [0.0, 1.0, 1.0], 2: [0.0, 1.5], 3: [0.0, 1.0, 1.5]},
+                   {k: [] for k in (1, 2, 3)})
+    traj = core.OnOffTrajectory(1, 3, 4.0, {1: ((0.5, 1.0),), 2: ((1.2, 1.5),),
+                                            3: ((0.7, 1.0), (1.1, 1.5))})
+    dyn = core.check_dynamics(traj, seq)
+    assert dyn.persistence_violations == ((1, 1.0, 2),)
+    assert _python_scalars(dyn.persistence_violations[0], (int, float, int))
+    seq = make_seq(4.0, {1: [0.0, 1.0, 1.0], 2: [0.0], 3: [0.0, 1.0]}, {k: [] for k in (1, 2, 3)})
+    traj = core.OnOffTrajectory(1, 3, 4.0, {1: ((0.5, 1.0),), 2: ((0.2, None),),
+                                            3: ((0.7, 1.0),)})
+    ((t, message),) = core.check_dynamics(traj, seq).suffix_violations
+    assert type(t) is float and message == "nodes [1, 1, 3] switched off but node 2 stayed on"
+
 
 class TestEventLog:
     def test_csv_lines(self):
