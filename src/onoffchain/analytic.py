@@ -14,51 +14,29 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from .core import (
-    InputModel,
-    RateSchedule,
-    SystemConfig,
-    EXPONENTIAL,
-    DETERMINISTIC,
-    EMPIRICAL,
-)
+from .core import DETERMINISTIC, EXPONENTIAL, InputModel, SystemConfig
 
 __all__ = [
-    "LaplaceEval",
-    "HighPrecisionReal",
-    "EULER_GAMMA",
-    "EXP_EULER_GAMMA",
-    "PermanentInputError",
-    "ImproperTransformError",
-    "InfiniteMeanError",
-    "ComplexityError",
-    "PrecisionError",
-    "ConvergenceError",
-    "transform_of_input",
-    "node_step",
-    "chain_transform",
-    "subset_expansion",
-    "mean_from_transform",
-    "permanent_reduce",
-    "exact_mean_equal_rates",
-    "exact_mean_small_fraction",
-    "euler_ratio",
-    "harmonic_lower_bound",
+    "LaplaceEval", "HighPrecisionReal", "EULER_GAMMA", "EXP_EULER_GAMMA",
+    "PermanentInputError", "ImproperTransformError", "InfiniteMeanError",
+    "ComplexityError", "PrecisionError", "ConvergenceError",
+    "transform_of_input", "node_step", "chain_transform", "subset_expansion",
+    "mean_from_transform", "permanent_reduce", "exact_mean_equal_rates",
+    "exact_mean_small_fraction", "euler_ratio", "harmonic_lower_bound",
 ]
 
 EULER_GAMMA = 0.57721566490153286
-# exp(EULER_GAMMA), stored to 20 significant digits; comparison constant only
-EXP_EULER_GAMMA_STR = "1.7810724179901979852"
-EXP_EULER_GAMMA = float(EXP_EULER_GAMMA_STR)
+EXP_EULER_GAMMA = 1.7810724179901979852   # exp(EULER_GAMMA); comparison constant only
 
 _TERM_CAP = 2 ** 25       # subset sums one exact chain evaluation may expand into
-_FLOAT_WEIGHT_CAP = 2 ** 12   # largest subset weight summed in float64
+_FLOAT_WEIGHT_CAP = 2 ** 10   # largest subset weight summed in float64
 _GUARD_BITS = 32
 _LOG_SLACK_BITS = 32   # fixed-point bits the log table's error bound may take up
 _EMPIRICAL_BLOCK = 2 ** 16    # array elements per block of empirical samples
@@ -167,15 +145,11 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
     """Transform after the input passes a whole chain of rates.
 
     ``rates`` is ordered from the entry node to the observed node; the
-    result does not depend on the order.  Folding ``node_step`` over the
-    chain gives ``log phi(s) = sum_S (-1)^|S| log phi_in(s + sum S)`` over
-    all subsets S of the rates.  Equal rates are grouped first: distinct
-    rates r_i with counts c_i leave prod(c_i + 1) distinct sums
-    sigma = sum j_i r_i, each with the exact integer weight
-    (-1)^(sum j_i) prod C(c_i, j_i).  The alternating sum cancels up to
-    log2(max |weight|) bits, so it runs in float64 while the largest weight
-    is at most 2**12 and otherwise in mpmath at ``len(rates) + 85`` bits.
-    Chains with more than ``_TERM_CAP`` sums are refused.
+    result does not depend on the order, bit for bit.  Folding ``node_step``
+    gives ``log phi(s) = sum_sigma w_sigma log phi_in(s + sigma)`` over the
+    distinct subset sums of the rates, weighted as in :func:`_subset_table`.
+    The sum cancels bits: it runs in float64 while max |w| <= 2**10, and
+    otherwise in mpmath at ``len(rates) + 85`` bits, as sum |w| <= 2**len(rates).
     """
     base = transform_of_input(model)
     rs = [float(r) for r in rates]
@@ -184,21 +158,12 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
             raise ValueError(f"recovery rates must be positive, got {r}")
     if not rs:
         return base
-    values, counts = np.unique(rs, return_counts=True)
-    groups = [(float(r), int(c)) for r, c in zip(values, counts)]
-    terms = math.prod(c + 1 for _, c in groups)
-    if terms > _TERM_CAP:
-        raise ComplexityError(
-            f"chain transform needs {terms} subset sums; the cap is {_TERM_CAP}")
-    # the largest subset sum, added up in the order _float_chain adds it
-    top = sum(c * r for r, c in groups)
-    if not math.isfinite(top):
-        raise ValueError("the recovery rates sum beyond the float range")
-    max_weight = math.prod(math.comb(c, c // 2) for _, c in groups)
-    if max_weight <= _FLOAT_WEIGHT_CAP:
-        fn = _float_chain(model, groups)
-    else:
-        fn = _mp_chain(model, groups, len(rs) + 53 + _GUARD_BITS)
+    sums, weights, k = _subset_table(rs)
+    try:
+        top = int(sums[-1]) / (1 << k)     # the largest sum, rounded once
+    except OverflowError:
+        raise ValueError("the recovery rates sum beyond the float range") from None
+    fn = _table_sum(model, sums, weights, k, len(rs) + 53 + _GUARD_BITS)
     return LaplaceEval(_guarded(fn, model, top), "composite",
                        f"{base.label} -> chain({len(rs)})")
 
@@ -220,35 +185,63 @@ def _guarded(fn, model: InputModel, top: float):
     return checked
 
 
-def _signed_binomials(c: int) -> list[int]:
-    return [-math.comb(c, j) if j & 1 else math.comb(c, j) for j in range(c + 1)]
+def _subset_table(rates: list[float]):
+    """``(sums, weights, k)``: the increasing distinct subset sums of the
+    rates in units of 2^-k, with their nonzero exact integer weights.
+
+    Every float is dyadic: with 2^k the largest denominator of
+    ``float.as_integer_ratio`` the rates are integers a_i times 2^-k, and
+    w_sigma, the sum of (-1)^|S| over the subsets S with sum sigma, is the
+    coefficient of x^sigma in prod_i (1 - x^(a_i)).  Folding the a_i in one
+    at a time, merging equal sums and dropping zero weights, gives the same
+    table in every order.  The arrays hold int64 where all values fit and
+    Python ints otherwise; |w| <= C(n, n // 2) for n rates, as the subsets
+    with one sum form an antichain (Sperner).  No stage holds more
+    than min(prod(c_i + 1), S/g + 1) sums, with c_i the multiplicities, S
+    the sum and g the gcd of the a_i; past ``_TERM_CAP`` that is refused
+    before anything is built.
+    """
+    ratios = [r.as_integer_ratio() for r in rates]
+    k = max(d for _, d in ratios).bit_length() - 1
+    ints = sorted(n << (k + 1 - d.bit_length()) for n, d in ratios)
+    total = sum(ints)
+    bound = min(math.prod(c + 1 for c in Counter(ints).values()),
+                total // math.gcd(*ints) + 1)
+    if bound > _TERM_CAP:
+        raise ComplexityError(
+            f"chain transform needs up to {bound} subset sums; the cap is {_TERM_CAP}")
+    fits = max(total, math.comb(len(ints), len(ints) // 2)) < 2 ** 63
+    sums = np.zeros(1, np.int64 if fits else object)
+    weights = np.ones(1, sums.dtype)
+    for a in ints:
+        sums = np.concatenate((sums, sums + a))
+        weights = np.concatenate((weights, -weights))
+        order = np.argsort(sums, kind="stable")     # merges the two increasing runs
+        sums = sums[order]
+        weights = weights[order]
+        first = np.ones(len(sums), dtype=bool)
+        first[1:] = sums[1:] != sums[:-1]
+        if not first.all():
+            heads = np.flatnonzero(first)
+            sums, weights = sums[heads], np.add.reduceat(weights, heads)
+            kept = weights != 0
+            sums, weights = sums[kept], weights[kept]
+    return sums, weights, k
 
 
-def _float_chain(model: InputModel, groups):
-    sums = np.zeros(1)
-    weights = np.ones(1)
-    for r, c in groups:
-        sums = np.concatenate([sums + j * r for j in range(c + 1)])
-        weights = np.concatenate([weights * w for w in _signed_binomials(c)])
-    order = np.argsort(sums, kind="stable")
-    sums, weights = sums[order], weights[order]
-    phi_in = _input_law(model)
-
-    def fn(s):
-        return math.exp(float(np.sum(weights * np.log(phi_in(s + sums)))))
-
-    return fn
-
-
-def _mp_chain(model: InputModel, groups, bits: int):
+def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
+    """s -> exp(sum_sigma w_sigma log phi_in(s + sigma)) over a subset table,
+    in float64 while max |w| <= ``_FLOAT_WEIGHT_CAP``, else in mpmath at ``bits``."""
+    if np.abs(weights).max() <= _FLOAT_WEIGHT_CAP:
+        if sums.dtype == object:        # Python's int / int rounds once
+            sums = np.array([x / (1 << k) for x in sums.tolist()])
+        else:
+            sums = np.ldexp(sums.astype(np.float64), -k)
+        weights = weights.astype(np.float64)
+        phi_in = _input_law(model)
+        return lambda s: math.exp(float(np.sum(weights * np.log(phi_in(s + sums)))))
     with mpmath.workprec(bits):
-        sums = [mpmath.mpf(0)]
-        weights = [1]
-        for r, c in groups:
-            r = mpmath.mpf(r)
-            sums = [x + j * r for j in range(c + 1) for x in sums]
-            weights = [v * w for w in _signed_binomials(c) for v in weights]
-    table = sorted(zip(sums, weights))
+        table = [(mpmath.mpf((x, -k)), w) for x, w in zip(sums.tolist(), weights.tolist())]
     phi_in = _input_mp(model)
 
     def fn(s):

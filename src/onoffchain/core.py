@@ -455,6 +455,8 @@ class InvalidSequenceError(ValueError):
 def validate_signal_recovery(seq: SignalRecoverySequence) -> ValidationReport:
     """Check the four sequence axioms on a finite window.
 
+    The window must be a positive finite time, or that is the one violation
+    reported.
     Every node of the range needs a reception and a recovery list.
     Receptions of the right neighbour that land in a node's final off gap,
     still open at the window end, cannot be judged against the blocked-gap
@@ -470,6 +472,9 @@ def validate_signal_recovery(seq: SignalRecoverySequence) -> ValidationReport:
     """
     if seq.node_hi < seq.node_lo:
         raise DegenerateRangeError("sequence has an empty node range")
+    if not (math.isfinite(seq.window) and seq.window > 0):
+        return ValidationReport((Violation("discreteness", seq.node_lo, seq.window,
+                                           "window must be a positive finite time"),))
     violations: list[Violation] = []
     arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -657,17 +662,19 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> Dynami
     reception times of ``seq``, restricted to the available node range; the
     receptions are counted in ``_RECEPTION_BINS`` equal bins of the window.
 
-    Every reception must lie in the window (0, window]; one outside it, NaN
-    and infinities included, is refused with ``DimensionMismatchError``
-    naming the node.  The switch-offs are grouped by instant with one sort.
-    A group that lists exactly the nodes k..node_hi, each once, obeys both
-    rules; every other group is probed one at a time, ordered by the first
-    node (then the first position in that node's list) that holds its
-    instant.  The report is identical to grouping and probing every
-    reception one at a time.
+    Both windows must be the same positive finite time, and every reception
+    must lie in the window (0, window]; anything else, NaN and infinities
+    included, is refused with ``DimensionMismatchError``.  The switch-offs
+    are grouped by instant with one sort.  A group that lists exactly the
+    nodes k..node_hi, each once, obeys both rules; every other group is
+    probed one at a time, ordered by the first node (then the first
+    position in that node's list) that holds its instant.  The report is
+    identical to grouping and probing every reception one at a time.
     """
     if (traj.node_lo, traj.node_hi) != (seq.node_lo, seq.node_hi):
         raise DimensionMismatchError("trajectory and sequence node ranges differ")
+    if not (math.isfinite(seq.window) and seq.window > 0):
+        raise DimensionMismatchError(f"window must be a positive finite time, got {seq.window}")
     if traj.window != seq.window:
         raise DimensionMismatchError("trajectory and sequence windows differ")
 
@@ -735,10 +742,9 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> Dynami
             suffix.append((t0, f"switch-off block {nodes} lists a node twice"))
 
     bins = _RECEPTION_BINS
-    w = window if window > 0 else 1.0
-    counts = np.bincount(np.minimum((t / w * bins).astype(np.int64), bins - 1),
+    counts = np.bincount(np.minimum((t / window * bins).astype(np.int64), bins - 1),
                          minlength=bins).tolist()
-    edges = [w * i / bins for i in range(bins + 1)]
+    edges = [window * i / bins for i in range(bins + 1)]
     bin_rows = tuple((edges[i], edges[i + 1], counts[i]) for i in range(bins))
     min_gap = float(np.diff(t_sorted[head]).min()) if len(head) > 1 else None
 

@@ -132,8 +132,13 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
     if fam == CONSTANT:
         return math.inf
     if fam == LINEAR:
-        r = math.exp(-rates.c * x)
-        return r ** start / (1.0 - r)
+        # exp(-c x start) / (1 - exp(-c x)); the rounded exponent c x start is
+        # off by up to 2^-52 of itself, and exp, expm1, the products and the
+        # quotient by a few 2^-53: widen by (arg + 5) 2^-52, then one ulp up
+        cx = rates.c * x
+        arg = cx * start
+        tail = math.exp(-arg) / -math.expm1(-cx)
+        return math.nextafter(tail * (1.0 + (arg + 5.0) * 2.0 ** -52), math.inf)
     if fam == EXPLICIT:
         raise TailSumError("explicit schedules have no tail beyond their length; "
                            "tail sums need a parametric family")

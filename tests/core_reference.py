@@ -22,6 +22,9 @@ from onoffchain.core import (
 def validate_signal_recovery(seq: SignalRecoverySequence) -> ValidationReport:
     if seq.node_hi < seq.node_lo:
         raise DegenerateRangeError("sequence has an empty node range")
+    if not (math.isfinite(seq.window) and seq.window > 0):
+        return ValidationReport((Violation("discreteness", seq.node_lo, seq.window,
+                                           "window must be a positive finite time"),))
     violations: list[Violation] = []
 
     for node in seq.nodes():
@@ -120,6 +123,8 @@ def switch_times(traj: OnOffTrajectory) -> SignalRecoverySequence:
 def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> DynamicsReport:
     if (traj.node_lo, traj.node_hi) != (seq.node_lo, seq.node_hi):
         raise DimensionMismatchError("trajectory and sequence node ranges differ")
+    if not (math.isfinite(seq.window) and seq.window > 0):
+        raise DimensionMismatchError(f"window must be a positive finite time, got {seq.window}")
     if traj.window != seq.window:
         raise DimensionMismatchError("trajectory and sequence windows differ")
 
@@ -146,7 +151,7 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> Dynami
     suffix = []
     hi = traj.node_hi
     bins = _RECEPTION_BINS
-    w = traj.window if traj.window > 0 else 1.0
+    w = traj.window
     counts = [0] * bins
     for t, nodes in by_time.items():
         counts[min(int(t / w * bins), bins - 1)] += len(nodes)

@@ -22,6 +22,18 @@ def _mp_subset_table(rates: tuple, bits: int):
     return table
 
 
+def _mp_law(model):
+    """The input law's transform as an mpmath function, at the caller's precision."""
+    if model.kind == core.EXPONENTIAL:
+        rho = mpmath.mpf(model.rate)
+        return lambda x: x / (rho + x)
+    if model.kind == core.DETERMINISTIC:
+        d = mpmath.mpf(model.duration)
+        return lambda x: -mpmath.expm1(-d * x)
+    xs = [mpmath.mpf(float(v)) for v in model.samples]
+    return lambda x: 1 - mpmath.fsum(mpmath.exp(-x * v) for v in xs) / len(xs)
+
+
 def _mp_chain_reference(model, rates, s):
     """The chain transform at s as an mpmath sum of weighted input logs,
     carried at 160 bits beyond the chain length."""
@@ -29,22 +41,42 @@ def _mp_chain_reference(model, rates, s):
     bits = len(rates) + 160
     table = _mp_subset_table(rates, bits)
     with mpmath.workprec(bits):
-        if model.kind == core.EXPONENTIAL:
-            rho = mpmath.mpf(model.rate)
-            law = lambda x: x / (rho + x)
-        elif model.kind == core.DETERMINISTIC:
-            d = mpmath.mpf(model.duration)
-            law = lambda x: -mpmath.expm1(-d * x)
-        else:
-            xs = [mpmath.mpf(float(v)) for v in model.samples]
-            law = lambda x: 1 - mpmath.fsum(mpmath.exp(-x * v) for v in xs) / len(xs)
+        law = _mp_law(model)
         x = mpmath.mpf(s)
         return mpmath.exp(mpmath.fsum(w * mpmath.log(law(x + sigma)) for sigma, w in table))
 
 
-def _assert_matches_reference(phi, model, rates, grid, rel):
+def _mp_grid_reference(model, rates, s):
+    """The chain transform at s by folding ``node_step`` in mpmath over the
+    integer grid s + j: phi_k(s + j) = phi_(k-1)(s + j) / phi_(k-1)(s + j + r_k)
+    for integer rates r_k, at 160 bits beyond the chain length.  No subset
+    sums are formed, so it reaches the long integer-rate chains."""
+    assert all(r == int(r) for r in rates)
+    rates = [int(r) for r in rates]
+    with mpmath.workprec(len(rates) + 160):
+        law = _mp_law(model)
+        x = mpmath.mpf(s)
+        values = [law(x + j) for j in range(sum(rates) + 1)]
+        for r in rates:
+            values = [values[j] / values[j + r] for j in range(len(values) - r)]
+        return values[0]
+
+
+def _fraction_table(rates):
+    """(sigma, weight) over the distinct subset sums, folded rate by rate in a
+    dict keyed by exact ``Fraction`` sums, zero weights dropped."""
+    table = {Fraction(0): 1}
+    for r in rates:
+        step = dict(table)
+        for sigma, w in table.items():
+            step[sigma + Fraction(r)] = step.get(sigma + Fraction(r), 0) - w
+        table = {sigma: w for sigma, w in step.items() if w}
+    return sorted(table.items())
+
+
+def _assert_matches_reference(phi, model, rates, grid, rel, reference=_mp_chain_reference):
     for s in grid:
-        ref = _mp_chain_reference(model, rates, s)
+        ref = reference(model, rates, s)
         got = phi(s)
         with mpmath.workprec(200):
             err = abs((got - ref) / ref)
@@ -67,6 +99,11 @@ _DIFF_CHAINS = {
     "distinct12": list(np.random.default_rng(31).uniform(0.3, 4.0, size=12)),
 }
 _DIFF_GRID = (1e-3, 0.1, 1.0, 10.0)
+# the truncation [1, l] of the linear schedule fed permanently at its right
+# end, reduced: exponential input at rate l into the rates 1, ..., l - 1
+_LINEAR_TRUNCATIONS = {l: (core.InputModel.exponential(float(l)), [float(r) for r in range(1, l)])
+                       for l in (16, 32, 64)}
+_LINEAR32_MEAN = 1.8137858019543949     # E T_32 as an exact rational, rounded
 
 
 class TestInputTransforms:
@@ -153,7 +190,7 @@ class TestChainTransform:
             perm = rng.permutation(rates)
             other = analytic.chain_transform(model, perm)
             for s in (0.1, 1.0, 10.0):
-                assert abs(base(s) - other(s)) <= 1e-12
+                assert base(s) == other(s)
 
     def test_equal_rate_collapse_agrees_with_general_path(self):
         model = core.InputModel.exponential(1.0)
@@ -221,6 +258,59 @@ class TestChainTransform:
         cfg = core.SystemConfig(1, 4, core.RateSchedule.explicit(rates), model)
         dist = sim.sample_interreception(cfg, 1, 10000, seed=88)
         assert abs(dist.mean() - mean) <= 3 * dist.stderr()
+
+
+class TestSubsetTable:
+    _CHAINS = {
+        "equal8": [1.0] * 8,
+        "equal16": [0.9] * 16,
+        "mixed1x8_2x8": [1.0] * 8 + [2.0] * 8,
+        "mixed1x10_1.7x5_3x3": [1.0] * 10 + [1.7] * 5 + [3.0] * 3,
+        "distinct12": list(np.random.default_rng(31).uniform(0.3, 4.0, size=12)),
+        "distinct16": list(np.random.default_rng(33).uniform(0.3, 4.0, size=16)),
+        "tiny-and-huge": [1e-300, 2.5, 1e300],
+        "linear16": _LINEAR_TRUNCATIONS[16][1],
+        "linear32": _LINEAR_TRUNCATIONS[32][1],
+    }
+
+    @pytest.mark.parametrize("name", list(_CHAINS))
+    def test_matches_fraction_fold(self, name):
+        rates = self._CHAINS[name]
+        sums, weights, k = analytic._subset_table(rates)
+        got = [(Fraction(int(x), 2 ** k), int(w)) for x, w in zip(sums, weights)]
+        assert got == _fraction_table(rates)
+        # the same table, array for array, in any order of the rates
+        shuffled = analytic._subset_table(list(np.random.default_rng(8).permutation(rates)))
+        assert shuffled[2] == k and sums.dtype == shuffled[0].dtype
+        assert np.array_equal(shuffled[0], sums) and np.array_equal(shuffled[1], weights)
+
+    def test_python_int_table(self):
+        # rates four decades apart put the sums past int64, so the table
+        # holds Python ints; both evaluators read it
+        for model, rates in ((_DIFF_INPUTS["exp"], [0.001, 10.0, 0.37]),
+                             (_DIFF_INPUTS["det"], [0.001] * 12 + [10.0])):
+            assert analytic._subset_table(rates)[0].dtype == object
+            phi = analytic.chain_transform(model, rates)
+            _assert_matches_reference(phi, model, rates, _DIFF_GRID, 1e-10)
+
+    @pytest.mark.parametrize("l, size", [(32, 400), (64, 1834)])
+    def test_linear_truncations_accepted(self, l, size):
+        model, rates = _LINEAR_TRUNCATIONS[l]
+        assert len(analytic._subset_table(rates)[0]) == size
+        phi = analytic.chain_transform(model, rates)
+        _assert_matches_reference(phi, model, rates, _DIFF_GRID, 1e-12,
+                                  reference=_mp_grid_reference)
+        if l == 32:
+            assert abs(analytic.mean_from_transform(phi) - _LINEAR32_MEAN) <= 1e-8 * _LINEAR32_MEAN
+
+    def test_grid_reference_agrees_with_subset_reference(self):
+        # the two mpmath references, on integer chains the subset one can expand
+        for input_name, rates in (("det", [1.0] * 6 + [2.0, 3.0]), ("emp", [1.0, 2.0, 2.0, 5.0])):
+            model = _DIFF_INPUTS[input_name]
+            for s in (1e-3, 1.0):
+                a, b = _mp_grid_reference(model, rates, s), _mp_chain_reference(model, rates, s)
+                with mpmath.workprec(200):
+                    assert abs(a - b) <= mpmath.ldexp(abs(b), -120)
 
 
 class TestSubsetExpansion:

@@ -154,6 +154,18 @@ class TestCommands:
         assert "# tolerance: mean 1e-8 relative" in out.splitlines()
         assert abs(float(line.split(": ")[1]) - exact) <= 1e-8 * exact
 
+    def test_transform_linear_truncation(self, capsys):
+        # the truncation [1, 32] of linear:1, reduced: 2**31 subsets of its
+        # integer rates fall on 400 distinct sums
+        rates = "explicit:" + ",".join(str(r) for r in range(1, 32))
+        code, out, _ = run_cli(["transform", "--rates", rates, "--input", "exp:32",
+                                "--s-grid", "0.7"], capsys)
+        assert code == 0
+        exact = 1.8137858019543949       # E T_32 as an exact rational, rounded
+        assert f"# mean: {exact:#.9g}" in out.splitlines()
+        s, phi = (float(x) for x in out.splitlines()[-1].split(","))
+        assert (s, phi) == (0.7, pytest.approx(0.649073340883322, rel=1e-12))
+
     def test_limit_table(self, capsys):
         code, out, _ = run_cli(
             ["limit", "--rates", "linear:1", "--k", "1", "--ladder", "2,4",

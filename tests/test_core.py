@@ -265,6 +265,21 @@ class TestDynamics:
         with pytest.raises(core.DimensionMismatchError, match="windows differ"):
             core.check_dynamics(traj, seq)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_bad_window_refused(self, window):
+        # a NaN window used to pass the validator and then read as "windows differ"
+        seq = make_seq(window, {1: [0.0, 1.0]}, {1: [0.5]})
+        report = core.validate_signal_recovery(seq)
+        assert [(v.axiom, v.detail) for v in report.violations] == [
+            ("discreteness", "window must be a positive finite time")]
+        with pytest.raises(core.InvalidSequenceError, match="positive finite time"):
+            core.to_on_off(seq)
+        traj = core.OnOffTrajectory(1, 1, window, {1: ((0.5, 1.0),)})
+        with pytest.raises(core.DimensionMismatchError,
+                           match=f"window must be a positive finite time, got {window}"):
+            core.check_dynamics(traj, seq)
+
     def test_malformed_interval_noted(self):
         seq = make_seq(4.0, {1: [0.0, 1.0]}, {1: [2.0]})
         traj = core.OnOffTrajectory(1, 1, 4.0, {1: ((2.0, 1.0),)})

@@ -159,6 +159,11 @@ _TAMPERED = {
                           _traj(4.0, {1: (), 2: ((0.2, 1.0),), 3: ((0.7, 1.0),)}),
                           lambda r, d: d.suffix_violations == (
                               (1.0, "switch-off block [2, 2, 3] lists a node twice"),)),
+    "nan-window": (_seq(math.nan, {1: [0.0, 1.0]}, {1: [0.5]}),
+                   _traj(math.nan, {1: ((0.5, 1.0),)}),
+                   lambda r, d: [v.detail for v in r.violations] == [
+                       "window must be a positive finite time"]
+                   and str(d) == "window must be a positive finite time, got nan"),
     "reception-outside-window": (_seq(4.0, {1: [0.0, 1.0], 2: [0.0, 1.0, 4.5]},
                                       {1: [0.5], 2: [0.5, 2.0]}),
                                  _traj(4.0, {1: ((0.5, 1.0),), 2: ((0.5, 1.0), (2.0, None))}),

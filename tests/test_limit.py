@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,6 +38,21 @@ class TestTailSums:
             got = limit.exp_tail_sum(LINEAR, x, start)
             brute = sum(math.exp(-k * x) for k in range(start, start + 5000))
             assert got == pytest.approx(brute, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [1.0, 0.7])
+    def test_linear_is_a_true_upper_bound(self, c):
+        # against the sum for the given floats, exp(-c x start) / (1 - exp(-c x)),
+        # in mpmath: at small x the geometric r**start / (1 - r) fell below it
+        sched = core.RateSchedule.linear(c)
+        for x in (1e-13, 1e-10, 1e-6, 0.5, 3.0):
+            for start in (1, 3, 199):
+                got = limit.exp_tail_sum(sched, x, start)
+                with mpmath.workprec(300):
+                    cx = mpmath.mpf(c) * mpmath.mpf(x)
+                    exact = mpmath.exp(-cx * start) / -mpmath.expm1(-cx)
+                    assert exact <= got <= exact * (1 + mpmath.mpf(1e-12)), (x, start)
+        # past the float range the bound stays positive
+        assert limit.exp_tail_sum(sched, 800.0, 1) > 0.0
 
     def test_constant_diverges(self):
         assert limit.exp_tail_sum(core.RateSchedule.constant(1.0), 5.0, 1) == math.inf
