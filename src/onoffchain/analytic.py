@@ -152,10 +152,7 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
     otherwise in mpmath at ``len(rates) + 85`` bits, as sum |w| <= 2**len(rates).
     """
     base = transform_of_input(model)
-    rs = [float(r) for r in rates]
-    for r in rs:
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError(f"recovery rates must be positive, got {r}")
+    rs = _positive_rates(rates)
     if not rs:
         return base
     sums, weights, k = _subset_table(rs)
@@ -166,6 +163,15 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
     fn = _table_sum(model, sums, weights, k, len(rs) + 53 + _GUARD_BITS)
     return LaplaceEval(_guarded(fn, model, top), "composite",
                        f"{base.label} -> chain({len(rs)})")
+
+
+def _positive_rates(rates) -> list[float]:
+    """The rates as floats, refusing any that is not positive and finite."""
+    rs = [float(r) for r in rates]
+    for r in rs:
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"recovery rates must be positive and finite, got {r}")
+    return rs
 
 
 def _guarded(fn, model: InputModel, top: float):
@@ -192,40 +198,45 @@ def _subset_table(rates: list[float]):
     Every float is dyadic: with 2^k the largest denominator of
     ``float.as_integer_ratio`` the rates are integers a_i times 2^-k, and
     w_sigma, the sum of (-1)^|S| over the subsets S with sum sigma, is the
-    coefficient of x^sigma in prod_i (1 - x^(a_i)).  Folding the a_i in one
-    at a time, merging equal sums and dropping zero weights, gives the same
-    table in every order.  The arrays hold int64 where all values fit and
-    Python ints otherwise; |w| <= C(n, n // 2) for n rates, as the subsets
-    with one sum form an antichain (Sperner).  No stage holds more
-    than min(prod(c_i + 1), S/g + 1) sums, with c_i the multiplicities, S
-    the sum and g the gcd of the a_i; past ``_TERM_CAP`` that is refused
-    before anything is built.
+    coefficient of x^sigma in prod_i (1 - x^(a_i)).  Each distinct a, of
+    multiplicity c, is folded in once as (1 - x^a)^c: c + 1 copies of the
+    table shifted by j a and weighted (-1)^j C(c, j), merged on equal sums
+    with zero weights dropped, which gives the same table in every order.
+    The arrays hold int64 where all values fit and Python ints otherwise;
+    |w| <= C(n, n // 2) for n rates, as the subsets with one sum form an
+    antichain (Sperner).  No merged stage holds more than bound =
+    min(prod(c + 1), S/g + 1) sums, with S the sum and g the gcd of the
+    a_i; a fold takes fewer copies at a time where more would hold over
+    2 bound before the merge, and a bound past ``_TERM_CAP`` is refused.
     """
     ratios = [r.as_integer_ratio() for r in rates]
     k = max(d for _, d in ratios).bit_length() - 1
-    ints = sorted(n << (k + 1 - d.bit_length()) for n, d in ratios)
+    ints = [n << (k + 1 - d.bit_length()) for n, d in ratios]
     total = sum(ints)
-    bound = min(math.prod(c + 1 for c in Counter(ints).values()),
-                total // math.gcd(*ints) + 1)
+    counts = sorted(Counter(ints).items())
+    bound = min(math.prod(c + 1 for _, c in counts), total // math.gcd(*ints) + 1)
     if bound > _TERM_CAP:
         raise ComplexityError(
             f"chain transform needs up to {bound} subset sums; the cap is {_TERM_CAP}")
     fits = max(total, math.comb(len(ints), len(ints) // 2)) < 2 ** 63
     sums = np.zeros(1, np.int64 if fits else object)
     weights = np.ones(1, sums.dtype)
-    for a in ints:
-        sums = np.concatenate((sums, sums + a))
-        weights = np.concatenate((weights, -weights))
-        order = np.argsort(sums, kind="stable")     # merges the two increasing runs
-        sums = sums[order]
-        weights = weights[order]
-        first = np.ones(len(sums), dtype=bool)
-        first[1:] = sums[1:] != sums[:-1]
-        if not first.all():
-            heads = np.flatnonzero(first)
-            sums, weights = sums[heads], np.add.reduceat(weights, heads)
-            kept = weights != 0
-            sums, weights = sums[kept], weights[kept]
+    for a, left in counts:
+        while left:
+            c = min(left, 2 * bound // len(sums) - 1)
+            left -= c
+            signed = [1]
+            for j in range(1, c + 1):
+                signed.append(-signed[-1] * (c - j + 1) // j)
+            sums = (np.arange(c + 1, dtype=sums.dtype)[:, None] * a + sums).ravel()
+            weights = (np.array(signed, sums.dtype)[:, None] * weights).ravel()
+            order = np.argsort(sums, kind="stable")     # merges the c + 1 increasing runs
+            sums, weights = sums[order], weights[order]
+            first = np.concatenate(([True], sums[1:] != sums[:-1]))
+            if not first.all():
+                heads = np.flatnonzero(first)
+                sums, weights = sums[heads], np.add.reduceat(weights, heads)
+                sums, weights = sums[weights != 0], weights[weights != 0]
     return sums, weights, k
 
 
@@ -273,7 +284,7 @@ def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
     and the value is 0; extract the mean via :func:`mean_from_transform`
     instead of dividing here.
     """
-    rs = [float(r) for r in rates]
+    rs = _positive_rates(rates)
     L = len(rs)
     if 2 ** L > _TERM_CAP:
         raise ComplexityError(f"subset expansion needs 2**{L} terms; the cap is {_TERM_CAP}")
@@ -383,31 +394,19 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def _prime_exponents(spf: list[int]) -> list[tuple[int, int]]:
-    """The nonzero exact exponents e_p with prod_k k^((-1)^k C(n, k)) =
-    prod_p p^(e_p), for the primes p <= n = len(spf) - 1.
-
-    e_p = sum_k (-1)^k C(n, k) v_p(k), where v_p(k) is the exponent of p in
-    k: each k adds its signed binomial once for every power p^j dividing it.
+def _prime_exponents(sums, weights, spf: list[int]) -> list[tuple[int, int]]:
+    """The nonzero exponents e_p, increasing in p, with prod_(sigma > 0)
+    sigma^(w_sigma) = prod_p p^(e_p) over an integer subset table: e_p =
+    sum_sigma w_sigma v_p(sigma), each sum factored with the sieve ``spf``,
+    which must reach the largest sum.  On the table of n unit rates the
+    product is prod_k k^((-1)^k C(n, k)).
     """
-    n = len(spf) - 1
-    signed = [1] * (n + 1)
-    c = 1
-    for k in range(1, n + 1):
-        c = c * (n - k + 1) // k
-        signed[k] = -c if k & 1 else c
-    out = []
-    for p in range(2, n + 1):
-        if spf[p] != p:
-            continue
-        e = 0
-        q = p
-        while q <= n:
-            e += sum(signed[q::q])
-            q *= p
-        if e:
-            out.append((p, e))
-    return out
+    exps = Counter()
+    for x, w in zip(sums.tolist(), weights.tolist()):
+        while x > 1:
+            exps[spf[x]] += w
+            x //= spf[x]
+    return sorted((p, e) for p, e in exps.items() if e)
 
 
 def _two_atanh_inv(m: int, w: int) -> tuple[int, int]:
@@ -463,9 +462,9 @@ def exact_mean_equal_rates(n: int, precision_bits: int | None = None) -> HighPre
     """Mean first-reception time at the left end of an n-node equal-rate
     chain under permanent input, by the exact alternating product.
 
-    The mean is prod_k k^((-1)^k C(n, k)) = prod_p p^(e_p) with the exact
-    integer prime exponents of :func:`_prime_exponents`, so it is
-    exp(sum_p e_p ln p).  The logarithms come from the integer table of
+    The mean is prod_k k^((-1)^k C(n, k)) = prod_p p^(e_p), with the exact
+    integer exponents that :func:`_prime_exponents` reads off the subset
+    table of n unit rates, so it is exp(sum_p e_p ln p).  The logarithms come from the integer table of
     :func:`_log_table` at w = ``precision_bits + n + 64`` fractional bits:
     the sum S = sum_p e_p L_p is exact, and its error is below
     B = sum_p |e_p| E_p units of 2^-w, E_p being the bound of entry p.  An
@@ -496,7 +495,7 @@ def _exact_mean(n: int, precision_bits: int) -> HighPrecisionReal:
     w = precision_bits + n + _GUARD_BITS + _LOG_SLACK_BITS
     logs = _log_table(spf, w)
     total = bound = 0
-    for p, e in _prime_exponents(spf):
+    for p, e in _prime_exponents(*_subset_table([1.0] * n)[:2], spf):
         lp, ep = logs[p]
         total += e * lp
         bound += abs(e) * ep
@@ -517,7 +516,7 @@ def exact_mean_small_fraction(n: int) -> Fraction:
     if not 1 <= n <= 16:
         raise ValueError("rational cross-check is for n <= 16 (the exponents "
                          "are binomial coefficients)")
-    exps = _prime_exponents(_smallest_prime_factors(n))
+    exps = _prime_exponents(*_subset_table([1.0] * n)[:2], _smallest_prime_factors(n))
     return Fraction(math.prod(p ** e for p, e in exps if e > 0),
                     math.prod(p ** -e for p, e in exps if e < 0))
 

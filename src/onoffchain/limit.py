@@ -124,8 +124,8 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
     diverges (or cannot be dominated), which downstream bounds treat as the
     trivial bound.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"x must be positive and finite, got {x!r}")
     if start < 1:
         raise ValueError("start index must be >= 1")
     fam = rates.family
@@ -288,8 +288,8 @@ def dense_signal_certificate(rates: RateSchedule, k: int,
     """
     if k < 1:
         raise ValueError("node index must be >= 1")
-    if not budget > 0:
-        raise ValueError("budget must be positive")
+    if not (budget > 0 and math.isfinite(budget)):
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
     target = 1.0 / k
 
     def tail(tau: float) -> float:

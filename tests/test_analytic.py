@@ -271,6 +271,7 @@ class TestSubsetTable:
         "tiny-and-huge": [1e-300, 2.5, 1e300],
         "linear16": _LINEAR_TRUNCATIONS[16][1],
         "linear32": _LINEAR_TRUNCATIONS[32][1],
+        "repeats-and-distinct": [1.0] * 40 + [3.0] * 2 + [0.75],
     }
 
     @pytest.mark.parametrize("name", list(_CHAINS))
@@ -283,6 +284,27 @@ class TestSubsetTable:
         shuffled = analytic._subset_table(list(np.random.default_rng(8).permutation(rates)))
         assert shuffled[2] == k and sums.dtype == shuffled[0].dtype
         assert np.array_equal(shuffled[0], sums) and np.array_equal(shuffled[1], weights)
+
+    @pytest.mark.parametrize("n", [1, 66, 67, 2000])
+    def test_unit_table_is_signed_binomials(self, n):
+        # n equal rates fold in one step; int64 holds C(66, 33) but not C(67, 33)
+        sums, weights, k = analytic._subset_table([1.0] * n)
+        assert k == 0 and sums.dtype == (np.int64 if n <= 66 else object)
+        assert sums.tolist() == list(range(n + 1))
+        assert weights.tolist() == [(-1) ** j * math.comb(n, j) for j in range(n + 1)]
+
+    def test_prime_exponents_of_a_linear_table(self):
+        # E T = 2^k prod_(sigma > 0) sigma^(w_sigma) over the table of all the
+        # rates 1..l of the permanently fed linear chain: its sums have gaps
+        # and merged weights, which the unit table never has
+        def mean(l):
+            sums, weights, k = analytic._subset_table([float(r) for r in range(1, l + 1)])
+            spf = analytic._smallest_prime_factors(int(sums[-1]))
+            exps = analytic._prime_exponents(sums, weights, spf)
+            return 2 ** k * Fraction(math.prod(p ** e for p, e in exps if e > 0),
+                                     math.prod(p ** -e for p, e in exps if e < 0))
+        assert mean(4) == Fraction(125, 72)
+        assert float(mean(32)) == _LINEAR32_MEAN
 
     def test_python_int_table(self):
         # rates four decades apart put the sums past int64, so the table
@@ -346,6 +368,16 @@ class TestSubsetExpansion:
         phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
         with pytest.raises(analytic.ComplexityError):
             analytic.subset_expansion(phi, [1.0] * 26, 1.0)
+
+    @pytest.mark.parametrize("rate", [-0.5, 0.0, math.inf, math.nan])
+    def test_non_positive_rates_refused(self, rate):
+        # the same refusal as chain_transform's: a rate of -0.5 gave 1.5
+        model = core.InputModel.exponential(1.0)
+        phi = analytic.transform_of_input(model)
+        with pytest.raises(ValueError, match="positive and finite"):
+            analytic.subset_expansion(phi, [1.0, rate], 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            analytic.chain_transform(model, [1.0, rate])
 
 
 class TestMeanExtraction:
@@ -450,7 +482,8 @@ def _mp_log_mean(n, bits):
     """The equal-rate mean as exp(sum_p e_p ln p) with mpmath logarithms, at
     ``bits + n + 32`` working bits: the package's route before its integer
     log table."""
-    exponents = analytic._prime_exponents(analytic._smallest_prime_factors(n))
+    sums, weights, _ = analytic._subset_table([1.0] * n)
+    exponents = analytic._prime_exponents(sums, weights, analytic._smallest_prime_factors(n))
     with mpmath.workprec(bits + n + 32):
         value = mpmath.exp(mpmath.fsum(e * mpmath.log(p) for p, e in exponents))
     with mpmath.workprec(bits):

@@ -77,6 +77,16 @@ class TestTailSums:
         with pytest.raises(limit.TailSumError):
             limit.exp_tail_sum(core.RateSchedule.explicit([1.0, 2.0]), 1.0, 1)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_x_refused(self, x):
+        # linear returned nan, and on nan the log families summed 10^7 terms
+        for sched in (LINEAR, core.RateSchedule.constant(1.0),
+                      core.RateSchedule.log_family(1.0, 0.0), core.RateSchedule.log_square()):
+            with pytest.raises(ValueError, match="positive and finite"):
+                limit.exp_tail_sum(sched, x, 1)
+        with pytest.raises(ValueError):
+            limit.cdf_lower_bound(1, x, LINEAR)
+
 
 class TestTruncationLaws:
     def test_single_node_window_is_bare_exponential(self):
@@ -168,6 +178,12 @@ class TestDenseCertificates:
     def test_constant_rates_cannot_certify(self):
         with pytest.raises(limit.CertificateUnavailableError):
             limit.dense_signal_certificate(core.RateSchedule.constant(1.0), 10, budget=0.5)
+
+    @pytest.mark.parametrize("budget", [math.inf, math.nan])
+    def test_non_finite_budget_refused(self, budget):
+        # an infinite budget returned tau=inf with a nan tail sum
+        with pytest.raises(ValueError, match="positive and finite"):
+            limit.dense_signal_certificate(LINEAR, 10, budget)
 
 
 class TestIntervalReceptionBound:
