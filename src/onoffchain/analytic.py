@@ -109,14 +109,20 @@ def transform_of_input(model: InputModel) -> LaplaceEval:
     return LaplaceEval(law, "empirical", f"empirical(n={len(model.samples)})")
 
 
-def _input_law(model: InputModel):
-    """phi of a proper input law, on a float or elementwise on an array."""
+def _input_law(model: InputModel, lib=np):
+    """phi of a proper input law: elementwise on a float array with ``lib``
+    numpy, at one mpmath argument with ``lib`` mpmath, its float parameters
+    converted once and exactly."""
+    num = mpmath.mpf if lib is mpmath else float
     if model.kind == EXPONENTIAL:
-        rho = model.rate
+        rho = num(model.rate)
         return lambda x: x / (rho + x)
     if model.kind == DETERMINISTIC:
-        d = model.duration
-        return lambda x: -np.expm1(-d * x)
+        d = num(model.duration)
+        return lambda x: -lib.expm1(-d * x)
+    if lib is mpmath:
+        samples = [num(v) for v in model.samples.tolist()]
+        return lambda x: -mpmath.fsum(mpmath.expm1(-x * v) for v in samples) / len(samples)
     samples = model.samples
 
     def emp(x):
@@ -253,7 +259,7 @@ def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
         return lambda s: math.exp(float(np.sum(weights * np.log(phi_in(s + sums)))))
     with mpmath.workprec(bits):
         table = [(mpmath.mpf((x, -k)), w) for x, w in zip(sums.tolist(), weights.tolist())]
-    phi_in = _input_mp(model)
+    phi_in = _input_law(model, mpmath)
 
     def fn(s):
         with mpmath.workprec(bits):
@@ -262,18 +268,6 @@ def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
             return float(mpmath.exp(total))
 
     return fn
-
-
-def _input_mp(model: InputModel):
-    """The input law's transform at one mpmath argument."""
-    if model.kind == EXPONENTIAL:
-        rho = mpmath.mpf(model.rate)
-        return lambda x: x / (rho + x)
-    if model.kind == DETERMINISTIC:
-        d = mpmath.mpf(model.duration)
-        return lambda x: -mpmath.expm1(-d * x)
-    samples = [mpmath.mpf(float(v)) for v in model.samples]
-    return lambda x: -mpmath.fsum(mpmath.expm1(-x * v) for v in samples) / len(samples)
 
 
 def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:

@@ -664,7 +664,11 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> Dynami
 
     Both windows must be the same positive finite time, and every reception
     must lie in the window (0, window]; anything else, NaN and infinities
-    included, is refused with ``DimensionMismatchError``.  The switch-offs
+    included, is refused with ``DimensionMismatchError``.  So is a sequence
+    that is not the trajectory's own, once every node has passed those
+    checks: the first node whose recoveries are not its interval starts, or
+    whose receptions after the 0 are not its numeric interval ends, compared
+    as float64, is named.  The switch-offs
     are grouped by instant with one sort.  A group that lists exactly the
     nodes k..node_hi, each once, obeys both rules; every other group is
     probed one at a time, ordered by the first node (then the first
@@ -681,29 +685,36 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> Dynami
     window = traj.window
     notes = []
     times = []                          # per node, its receptions after the 0
+    foreign = None                      # the first node whose lists are not traj's
     for node in traj.nodes():
         if not (node in traj.intervals and node in seq.receptions and node in seq.recoveries):
             raise DimensionMismatchError(f"node {node} is absent from the trajectory or the sequence")
         iv = traj.intervals[node]
-        if iv:
-            starts = np.fromiter(map(itemgetter(0), iv), np.float64, len(iv))
-            ends = np.fromiter(map(itemgetter(1), iv), np.float64, len(iv))  # None -> nan
-            for i in np.flatnonzero(np.isnan(ends)).tolist():
-                if iv[i][1] is None:    # still on: the interval ends with the window
-                    ends[i] = window
-            prev_ends = np.concatenate(([0.0], ends[:-1]))
-            ok = (prev_ends < starts) & (starts < ends) & (ends <= window)
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                a, b = iv[bad[0]]
-                notes.append(f"node {node}: malformed on-interval [{a}, {b})")
-        s = seq.receptions[node]
+        starts = np.fromiter(map(itemgetter(0), iv), np.float64, len(iv))
+        ends = np.fromiter(map(itemgetter(1), iv), np.float64, len(iv))  # None -> nan
+        still_on = [i for i in np.flatnonzero(np.isnan(ends)).tolist() if iv[i][1] is None]
+        switches = np.delete(ends, still_on)    # the numeric ends
+        ends[still_on] = window         # still on: the interval ends with the window
+        prev_ends = np.concatenate(([0.0], ends))[:-1]
+        ok = (prev_ends < starts) & (starts < ends) & (ends <= window)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            a, b = iv[bad[0]]
+            notes.append(f"node {node}: malformed on-interval [{a}, {b})")
+        s, r = seq.receptions[node], seq.recoveries[node]
         rx = np.fromiter(islice(s, 1, None), np.float64, max(len(s) - 1, 0))
         outside = np.flatnonzero(~((rx > 0.0) & (rx <= window)))
         if outside.size:
             raise DimensionMismatchError(f"node {node}: reception at {s[outside[0] + 1]} "
                                          f"outside the window (0, {window}]")
+        if foreign is None and not (np.array_equal(rx, switches) and np.array_equal(
+                np.fromiter(r, np.float64, len(r)), starts)):
+            foreign = node
         times.append(rx)
+    if foreign is not None:
+        raise DimensionMismatchError(
+            f"node {foreign}: the sequence's recoveries and receptions are not the "
+            f"trajectory's interval starts and numeric interval ends")
 
     # group the switch-offs by instant; within a group the nodes come in node order
     hi = traj.node_hi

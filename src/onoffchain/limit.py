@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +61,9 @@ __all__ = [
     "convergence_diagnostics",
     "sample_extension",
 ]
+
+
+_TAIL_TERMS = 10_000_000     # terms a log-family tail sum may add
 
 
 class TailSumError(ArithmeticError):
@@ -122,7 +125,9 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
     summed term by term until their integral-comparison remainder falls
     below ``rel_tol`` of the partial sum.  Returns ``inf`` when the sum
     diverges (or cannot be dominated), which downstream bounds treat as the
-    trivial bound.
+    trivial bound.  Raises ``TailSumError`` when ``_TAIL_TERMS`` terms do
+    not get there, at once when the remainder after them is already too
+    large.
     """
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"x must be positive and finite, got {x!r}")
@@ -158,6 +163,13 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
             # logsquare: exp(-x log^2(u+1)) <= (u+1)^(-x log j) for u >= j-1
             p = x * math.log(j)
             return j ** (1.0 - p) / (p - 1.0) if p > 1.0 else math.inf
+    # The remainder decreases in j once it is finite, and every partial sum
+    # is at most total + rest of any step.  So once the remainder at the
+    # last step exceeds rel_tol times that, the loop cannot stop in time;
+    # the factor 1 + 2^-20 covers the rounding of 10^7 additions.
+    stop = start + _TAIL_TERMS + 1      # the last j the loop tries
+    last = remainder(stop)
+    margin = rel_tol * (1.0 + 2.0 ** -20)
     total = 0.0
     j = start
     while True:
@@ -166,7 +178,7 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
         rest = remainder(j)
         if rest <= rel_tol * max(total, 1e-300):
             return total + rest
-        if j - start > 10_000_000:
+        if j == stop or last >= margin * max(total + rest, 1e-300):
             raise TailSumError("tail sum did not stabilize")
 
 
@@ -224,15 +236,21 @@ def monotonicity_check(k: int, l_list, rates: RateSchedule, reps: int,
     Ladder points share the seed, hence couple through common recovery
     streams; that only sharpens the comparison, the band stays valid.
     """
-    ls = list(l_list)
-    if ls != sorted(ls) or len(set(ls)) != len(ls):
-        raise ValueError("l_list must be strictly ascending")
     band = dkw_band(reps, alpha / 2.0) * 2.0
-    samples = {l: sample_truncation_law(k, l, rates, reps, seed) for l in ls}
-    rows = []
-    for a, b in zip(ls, ls[1:]):
-        rows.append((a, b, dominance_check(samples[a], samples[b], band)))
-    return MonotonicityReport(tuple(rows), band)
+    ls, samples = _rung_samples(k, l_list, rates, reps, seed)
+    rows = tuple((a, b, dominance_check(x, y, band))
+                 for a, b, x, y in zip(ls, ls[1:], samples, samples[1:]))
+    return MonotonicityReport(rows, band)
+
+
+def _rung_samples(k: int, ladder, rates: RateSchedule, reps: int,
+                  seed: int) -> tuple[list[int], list[EmpiricalDistribution]]:
+    """The strictly ascending ``ladder`` as a list, and the truncation law on
+    [k, l] sampled with the one seed at each of its rungs l."""
+    ls = list(ladder)
+    if ls != sorted(ls) or len(set(ls)) != len(ls):
+        raise ValueError("ladder must be strictly ascending")
+    return ls, [sample_truncation_law(k, l, rates, reps, seed) for l in ls]
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +269,14 @@ def cdf_lower_bound(k: int, t: float, rates: RateSchedule) -> float:
         raise ValueError("t must exceed 1 so that sqrt(t) < t")
     rho = t ** (-2.0 / 3.0)
     rt = math.sqrt(t)
-    tail = exp_tail_sum(rates, rt, k)
-    if math.isinf(tail):
-        return 0.0
-    return (math.exp(-rho * rt)
-            * max(0.0, 1.0 - tail)
-            * -math.expm1(-rho * (t - rt)))
+    return _three_events(rho * rt, exp_tail_sum(rates, rt, k), rho * (t - rt))
+
+
+def _three_events(a: float, tail: float, b: float) -> float:
+    """exp(-a) max(0, 1 - tail) (1 - exp(-b)): the chance of three independent
+    events, no input while a are expected, every node recovered but for the
+    tail mass, and an input while b are expected."""
+    return math.exp(-a) * max(0.0, 1.0 - tail) * -math.expm1(-b)
 
 
 @dataclass(frozen=True)
@@ -329,13 +349,9 @@ def interval_reception_bound(k: int, interval: tuple[float, float],
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"interval must have finite positive length, got {interval}")
     certificate = dense_signal_certificate(rates, k, budget=s / 2 * (1 - 1e-12))
-    tau = certificate.tau
-    bound = (math.exp(-math.sqrt(tau))
-             * max(0.0, 1.0 - certificate.tail_sum)
-             * -math.expm1(-s / (2.0 * math.sqrt(tau))))
-    return DenseSignalCertificate(certificate.node_index, tau,
-                                  certificate.tail_sum, certificate.input_rate,
-                                  bound=bound)
+    root = math.sqrt(certificate.tau)
+    return replace(certificate, bound=_three_events(
+        root, certificate.tail_sum, s / (2.0 * root)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +383,9 @@ def convergence_diagnostics(k: int, l_ladder, rates: RateSchedule, reps: int,
     column shrinks; a constant-rate schedule surfaces its pathology as means
     that keep growing.
     """
-    ls = list(l_ladder)
-    if ls != sorted(ls) or len(set(ls)) != len(ls):
-        raise ValueError("ladder must be strictly ascending")
-    samples = [sample_truncation_law(k, l, rates, reps, seed) for l in ls]
-    rows = []
-    for i, l in enumerate(ls):
-        ks = ks_statistic(samples[i], samples[i + 1]) if i + 1 < len(ls) else None
-        rows.append((l, samples[i].mean(), ks))
-    return DiagnosticsTable(k, tuple(rows))
+    ls, samples = _rung_samples(k, l_ladder, rates, reps, seed)
+    ks = [ks_statistic(a, b) for a, b in zip(samples, samples[1:])] + [None]
+    return DiagnosticsTable(k, tuple((l, x.mean(), d) for l, x, d in zip(ls, samples, ks)))
 
 
 @dataclass(frozen=True)

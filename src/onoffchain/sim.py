@@ -178,11 +178,26 @@ class _KeyedStream:
     def next_block(self) -> np.ndarray:
         draws = _draw_block(self._k0, self._k1, self._block, _block_size(self._block))
         self._block += 1
-        pts = self._gap(draws)          # a new array, or the draws
-        pts.cumsum(out=pts)
-        pts += self._last
+        pts = _continued(self._gap(draws), self._last)   # the gaps: a new array, or the draws
         self._last = pts[-1]
         return pts
+
+
+def _continued(gaps: np.ndarray, last) -> np.ndarray:
+    """The running sums of ``gaps`` along each row plus ``last``, the point
+    before the block, in place."""
+    np.cumsum(gaps, axis=-1, out=gaps)
+    gaps += last
+    return gaps
+
+
+def _cover(stream: _KeyedStream, pts: np.ndarray, t: float) -> np.ndarray:
+    """``pts`` joined by the next blocks of ``stream``, drawn on until the
+    last point is after t."""
+    blocks = [pts]
+    while blocks[-1][-1] <= t:
+        blocks.append(stream.next_block())
+    return np.concatenate(blocks) if len(blocks) > 1 else pts
 
 
 def _exp_gaps(u: np.ndarray, rate) -> np.ndarray:
@@ -234,10 +249,7 @@ class RandomnessPlan:
         points.
         """
         stream = _recovery_stream(self, node, rate)
-        blocks = [stream.next_block()]
-        while blocks[-1][-1] <= upto:
-            blocks.append(stream.next_block())
-        pts = np.concatenate(blocks)
+        pts = _cover(stream, stream.next_block(), upto)
         return pts[pts <= upto]
 
 
@@ -331,24 +343,15 @@ class _Node:
         self._stream = stream
         self._pts = pts = stream.next_block()
         if pts[0] <= 0.0:
-            pts = self._cover(0.0)
+            pts = _cover(stream, pts, 0.0)
             self._pts = pts = pts[pts.searchsorted(0.0, "right"):]
         self.first = pts[:1]                # its first recovery, as an array
-
-    def _cover(self, t: float) -> np.ndarray:
-        """The buffered points, drawn on until the last one is after t."""
-        pts = self._pts
-        while pts[-1] <= t:
-            pts = np.concatenate((pts, self._stream.next_block()))
-        return pts
 
     def receive(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which of the signals ``a`` (nonempty, ascending, none before a
         signal offered earlier) the node receives, as a mask, and its
         recovery after each reception."""
-        pts = self._pts
-        if pts[-1] <= a[-1]:
-            pts = self._cover(a[-1])
+        pts = _cover(self._stream, self._pts, a[-1])
         c = pts.searchsorted(a, "right")
         hit = np.empty(len(a), dtype=bool)
         hit[0] = c[0] > 0
@@ -705,8 +708,7 @@ class _StreamBatch:
         u = np.empty((len(keys), _FIRST_BLOCK))
         for s in range(0, len(keys), _PHILOX_SLICE):
             u[s:s + _PHILOX_SLICE] = _philox_uniforms(seed, keys[s:s + _PHILOX_SLICE], 0, _FIRST_BLOCK)
-        u = gap(u, every)
-        np.cumsum(u, axis=1, out=u)
+        u = _continued(gap(u, every), 0.0)
         self._stores = [u] + [np.empty((0, _block_size(b))) for b in range(1, _LAST_BLOCK + 1)]
         self._fill = [len(keys)] + [0] * _LAST_BLOCK
         self._block = np.zeros(len(keys), dtype=np.intp)
@@ -745,9 +747,7 @@ class _StreamBatch:
             size = self._stores[b + 1].shape[1]
             u = np.array([_draw_block(self._seed, key, b + 1, size)
                           for key in self._keys[g].tolist()])
-            u = self._gap(u, g)
-            np.cumsum(u, axis=1, out=u)
-            u += self._stores[b][self._slot[g], -1:]
+            u = _continued(self._gap(u, g), self._stores[b][self._slot[g], -1:])
             self._slot[g] = self._append(b + 1, u)
             self._block[g] = b + 1
             self.drawn += u.size

@@ -120,6 +120,11 @@ def switch_times(traj: OnOffTrajectory) -> SignalRecoverySequence:
                                   receptions, recoveries)
 
 
+def _equal(xs, ys) -> bool:
+    """Equal lengths and equal values, one pair at a time (NaN equals nothing)."""
+    return len(xs) == len(ys) and all(x == y for x, y in zip(xs, ys))
+
+
 def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> DynamicsReport:
     if (traj.node_lo, traj.node_hi) != (seq.node_lo, seq.node_hi):
         raise DimensionMismatchError("trajectory and sequence node ranges differ")
@@ -130,6 +135,7 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> Dynami
 
     notes = []
     by_time: dict[float, list[int]] = {}
+    foreign = None
     for node in traj.nodes():
         if not (node in traj.intervals and node in seq.receptions and node in seq.recoveries):
             raise DimensionMismatchError(f"node {node} is absent from the trajectory or the sequence")
@@ -144,8 +150,18 @@ def check_dynamics(traj: OnOffTrajectory, seq: SignalRecoverySequence) -> Dynami
             if not 0.0 < t <= traj.window:
                 raise DimensionMismatchError(
                     f"node {node}: reception at {t} outside the window (0, {traj.window}]")
+        starts = [a for a, _ in traj.intervals[node]]
+        switches = [b for _, b in traj.intervals[node] if b is not None]
+        if foreign is None and not (_equal(seq.recoveries[node], starts)
+                                    and _equal(seq.receptions[node][1:], switches)):
+            foreign = node
         for t in seq.receptions[node][1:]:
             by_time.setdefault(t, []).append(node)
+
+    if foreign is not None:
+        raise DimensionMismatchError(
+            f"node {foreign}: the sequence's recoveries and receptions are not the "
+            f"trajectory's interval starts and numeric interval ends")
 
     persistence = []
     suffix = []

@@ -287,30 +287,48 @@ class TestDynamics:
         assert not report.cadlag_ok and not report.passed
         assert report.structural_notes == ("node 1: malformed on-interval [2.0, 1.0)",)
 
-    @pytest.mark.parametrize("receptions, intervals, persistence, suffix", [
+    @pytest.mark.parametrize("intervals, persistence, suffix, notes", [
         # nodes 1 and 3 switch off at t = 1 around node 2, off just before
-        ({1: [0.0, 1.0], 2: [0.0], 3: [0.0, 1.0]},
-         {1: ((0.5, 1.0),), 2: ((1.5, None),), 3: ((0.7, 1.0),)}, ((1, 1.0, 2),), ()),
+        ({1: ((0.5, 1.0),), 2: ((1.5, None),), 3: ((0.7, 1.0),)}, ((1, 1.0, 2),), (), ()),
         # ... and around node 2, on just before
-        ({1: [0.0, 1.0], 2: [0.0], 3: [0.0, 1.0]},
-         {1: ((0.5, 1.0),), 2: ((0.2, None),), 3: ((0.7, 1.0),)}, (),
-         ((1.0, "nodes [1, 3] switched off but node 2 stayed on"),)),
+        ({1: ((0.5, 1.0),), 2: ((0.2, None),), 3: ((0.7, 1.0),)}, (),
+         ((1.0, "nodes [1, 3] switched off but node 2 stayed on"),), ()),
         # node 1 listed twice hides node 2, on just before, from a count
-        ({1: [0.0, 1.0, 1.0], 2: [0.0], 3: [0.0, 1.0]},
-         {1: ((0.5, 1.0),), 2: ((0.2, None),), 3: ((0.7, 1.0),)}, (),
-         ((1.0, "nodes [1, 1, 3] switched off but node 2 stayed on"),)),
+        ({1: ((0.5, 1.0), (0.8, 1.0)), 2: ((0.2, None),), 3: ((0.7, 1.0),)}, (),
+         ((1.0, "nodes [1, 1, 3] switched off but node 2 stayed on"),),
+         ("node 1: malformed on-interval [0.8, 1.0)",)),
         # a block that reaches the right end but lists node 2 twice
-        ({1: [0.0], 2: [0.0, 1.0, 1.0], 3: [0.0, 1.0]},
-         {1: (), 2: ((0.2, 1.0),), 3: ((0.7, 1.0),)}, (),
-         ((1.0, "switch-off block [2, 2, 3] lists a node twice"),)),
+        ({1: (), 2: ((0.2, 1.0), (0.6, 1.0)), 3: ((0.7, 1.0),)}, (),
+         ((1.0, "switch-off block [2, 2, 3] lists a node twice"),),
+         ("node 2: malformed on-interval [0.6, 1.0)",)),
     ], ids=["gap-off", "gap-on", "repeated-node", "repeated-node-at-end"])
-    def test_switch_off_block_rule(self, receptions, intervals, persistence, suffix):
-        seq = make_seq(4.0, receptions, {k: [] for k in receptions})
+    def test_switch_off_block_rule(self, intervals, persistence, suffix, notes):
+        # the sequence is the trajectory's own; a node listed twice at one
+        # instant needs two intervals ending there, which is malformed
         traj = core.OnOffTrajectory(1, 3, 4.0, intervals)
-        report = core.check_dynamics(traj, seq)
+        report = core.check_dynamics(traj, core.switch_times(traj))
         assert report.persistence_violations == persistence
         assert report.suffix_violations == suffix
+        assert report.structural_notes == notes
         assert not report.passed
+
+    @pytest.mark.parametrize("receptions, recoveries, intervals", [
+        # on from 2.0 at the window end, against a switch-on at 0.5 and off at 1.0
+        ({1: (0.0, 1.0)}, {1: (0.5,)}, {1: ((2.0, None),)}),
+        # the recoveries agree, the switch-off does not
+        ({1: (0.0, 1.5)}, {1: (0.5,)}, {1: ((0.5, 1.0),)}),
+        # one switch-off too many, on the second node
+        ({1: (0.0,), 2: (0.0, 1.0, 2.0)}, {1: (), 2: (0.5, 1.5)},
+         {1: (), 2: ((0.5, 1.0), (1.5, None))}),
+    ], ids=["recoveries", "receptions", "extra-reception"])
+    def test_foreign_sequence_refused(self, receptions, recoveries, intervals):
+        seq = core.SignalRecoverySequence(1, len(receptions), 4.0, receptions, recoveries)
+        traj = core.OnOffTrajectory(1, len(receptions), 4.0, intervals)
+        node = len(receptions)
+        with pytest.raises(core.DimensionMismatchError,
+                           match=rf"node {node}: the sequence's recoveries and receptions "
+                                 rf"are not the trajectory's"):
+            core.check_dynamics(traj, seq)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 5.0],
                              ids=["nan", "inf", "negative", "beyond-window"])
@@ -354,17 +372,14 @@ def test_report_fields_are_python_scalars():
     for bad in broken:
         assert all(type(v.time) is float for v in core.validate_signal_recovery(bad).violations)
 
-    seq = make_seq(4.0, {1: [0.0, 1.0, 1.0], 2: [0.0, 1.5], 3: [0.0, 1.0, 1.5]},
-                   {k: [] for k in (1, 2, 3)})
-    traj = core.OnOffTrajectory(1, 3, 4.0, {1: ((0.5, 1.0),), 2: ((1.2, 1.5),),
+    traj = core.OnOffTrajectory(1, 3, 4.0, {1: ((0.5, 1.0), (0.8, 1.0)), 2: ((1.2, 1.5),),
                                             3: ((0.7, 1.0), (1.1, 1.5))})
-    dyn = core.check_dynamics(traj, seq)
+    dyn = core.check_dynamics(traj, core.switch_times(traj))
     assert dyn.persistence_violations == ((1, 1.0, 2),)
     assert _python_scalars(dyn.persistence_violations[0], (int, float, int))
-    seq = make_seq(4.0, {1: [0.0, 1.0, 1.0], 2: [0.0], 3: [0.0, 1.0]}, {k: [] for k in (1, 2, 3)})
-    traj = core.OnOffTrajectory(1, 3, 4.0, {1: ((0.5, 1.0),), 2: ((0.2, None),),
+    traj = core.OnOffTrajectory(1, 3, 4.0, {1: ((0.5, 1.0), (0.8, 1.0)), 2: ((0.2, None),),
                                             3: ((0.7, 1.0),)})
-    ((t, message),) = core.check_dynamics(traj, seq).suffix_violations
+    ((t, message),) = core.check_dynamics(traj, core.switch_times(traj)).suffix_violations
     assert type(t) is float and message == "nodes [1, 1, 3] switched off but node 2 stayed on"
 
 

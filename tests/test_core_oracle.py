@@ -135,30 +135,39 @@ _TAMPERED = {
     "boundary-excluded": (_seq(6.0, {1: [0.0, 2.0], 2: [0.0, 2.0, 5.0]},
                                {1: [1.0], 2: [1.0, 3.0]}), None,
                           lambda r, d: r.consistent and r.boundary_excluded[0].time == 5.0),
-    "malformed-interval": (_seq(4.0, {1: [0.0, 1.0]}, {1: [0.5]}),
-                           _traj(4.0, {1: ((0.5, 1.0), (3.0, 2.0), (math.nan, None))}),
+    "malformed-interval": (_seq(4.0, {1: [0.0, 1.0, 2.0]}, {1: [0.5, 3.0, 1.5]}),
+                           _traj(4.0, {1: ((0.5, 1.0), (3.0, 2.0), (1.5, None))}),
                            lambda r, d: d.structural_notes == (
                                "node 1: malformed on-interval [3.0, 2.0)",)),
-    "open-interval-early": (_seq(4.0, {1: [0.0, 1.0]}, {1: [0.5]}),
+    "open-interval-early": (_seq(4.0, {1: [0.0, 3.0]}, {1: [0.5, 2.0]}),
                             _traj(4.0, {1: ((0.5, None), (2.0, 3.0))}),
                             lambda r, d: not d.cadlag_ok),
-    "persistence": (_seq(4.0, {1: [0.0, 1.0], 2: [0.0], 3: [0.0, 1.0]}, {k: [] for k in (1, 2, 3)}),
+    "persistence": (_seq(4.0, {1: [0.0, 1.0], 2: [0.0], 3: [0.0, 1.0]}, {1: [0.5], 2: [1.5], 3: [0.7]}),
                     _traj(4.0, {1: ((0.5, 1.0),), 2: ((1.5, None),), 3: ((0.7, 1.0),)}),
                     lambda r, d: d.persistence_violations == ((1, 1.0, 2),)),
     "suffix": (_seq(4.0, {1: [0.0, 2.0, 3.0], 2: [0.0, 3.0], 3: [0.0, 1.0, 3.0]},
-                    {k: [] for k in (1, 2, 3)}),
-               _traj(4.0, {1: ((1.0, 2.0),), 2: ((0.5, 3.0),), 3: ((0.5, 1.0),)}),
+                    {1: [1.0, 2.5], 2: [0.5], 3: [0.5, 2.0]}),
+               _traj(4.0, {1: ((1.0, 2.0), (2.5, 3.0)), 2: ((0.5, 3.0),),
+                           3: ((0.5, 1.0), (2.0, 3.0))}),
                lambda r, d: [m for _, m in d.suffix_violations] == [
                    "nodes [1] switched off but node 2 stayed on"]),
-    "node-twice": (_seq(4.0, {1: [0.0, 1.0, 1.0], 2: [0.0], 3: [0.0, 1.0]}, {k: [] for k in (1, 2, 3)}),
-                   _traj(4.0, {1: ((0.5, 1.0),), 2: ((0.2, None),), 3: ((0.7, 1.0),)}),
+    "node-twice": (_seq(4.0, {1: [0.0, 1.0, 1.0], 2: [0.0], 3: [0.0, 1.0]},
+                        {1: [0.5, 0.8], 2: [0.2], 3: [0.7]}),
+                   _traj(4.0, {1: ((0.5, 1.0), (0.8, 1.0)), 2: ((0.2, None),), 3: ((0.7, 1.0),)}),
                    lambda r, d: d.suffix_violations == (
                        (1.0, "nodes [1, 1, 3] switched off but node 2 stayed on"),)),
     "node-twice-at-end": (_seq(4.0, {1: [0.0], 2: [0.0, 1.0, 1.0], 3: [0.0, 1.0]},
-                               {k: [] for k in (1, 2, 3)}),
-                          _traj(4.0, {1: (), 2: ((0.2, 1.0),), 3: ((0.7, 1.0),)}),
+                               {1: [], 2: [0.2, 0.6], 3: [0.7]}),
+                          _traj(4.0, {1: (), 2: ((0.2, 1.0), (0.6, 1.0)), 3: ((0.7, 1.0),)}),
                           lambda r, d: d.suffix_violations == (
                               (1.0, "switch-off block [2, 2, 3] lists a node twice"),)),
+    "foreign-sequence": (_seq(4.0, {1: [0.0, 1.0]}, {1: [0.5]}), _traj(4.0, {1: ((2.0, None),)}),
+                         lambda r, d: str(d) == "node 1: the sequence's recoveries and receptions "
+                                               "are not the trajectory's interval starts and "
+                                               "numeric interval ends"),
+    "foreign-after-window": (_seq(4.0, {1: [0.0, 1.0], 2: [0.0, 4.5]}, {1: [0.7], 2: [0.5]}),
+                             _traj(4.0, {1: ((0.5, 1.0),), 2: ((0.5, 4.5),)}),
+                             lambda r, d: "node 2: reception at 4.5 outside" in str(d)),
     "nan-window": (_seq(math.nan, {1: [0.0, 1.0]}, {1: [0.5]}),
                    _traj(math.nan, {1: ((0.5, 1.0),)}),
                    lambda r, d: [v.detail for v in r.violations] == [
@@ -236,14 +245,16 @@ def _cases(draw):
     seq = core.SignalRecoverySequence(
         lo, lo + n - 1, window, {lo + k: tuple(v) for k, v in receptions.items()},
         {lo + k: tuple(v) for k, v in recoveries.items()})
-    # a trajectory of its own, paired with the sequence for check_dynamics
-    starts, ends = draw(_lists(n))
+    # the trajectory for check_dynamics pairs each recovery with the next
+    # reception, a recovery left over opening a still-on interval; it reads
+    # the sequence's own lists, or in one case of five lists of its own
+    if draw(st.integers(0, 4)) == 0:
+        receptions, recoveries = draw(_lists(n))
     intervals = {}
     for k in range(n):
-        pairs = list(zip(ends[k], starts[k][1:]))
-        if draw(st.booleans()) and len(ends[k]) > len(pairs):
-            pairs.append((ends[k][len(pairs)], None))
-        intervals[lo + k] = tuple(pairs)
+        starts = recoveries.get(k, [])
+        pairs = list(zip(starts, receptions.get(k, [])[1:]))
+        intervals[lo + k] = tuple(pairs) + tuple((r, None) for r in starts[len(pairs):])
     return seq, core.OnOffTrajectory(lo, lo + n - 1, window, intervals)
 
 

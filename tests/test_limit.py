@@ -73,6 +73,27 @@ class TestTailSums:
         brute = sum(math.exp(-sched.rate(k) * 0.8) for k in range(1, 200000))
         assert brute <= got <= brute * 1.01
 
+    @pytest.mark.parametrize("sched, x", [(core.RateSchedule.log_family(1.0, 0.0), 1.1),
+                                          (core.RateSchedule.log_square(), 0.05)],
+                             ids=["remainder-too-large", "remainder-never-finite"])
+    def test_unreachable_tolerance_refused_at_once(self, monkeypatch, sched, x):
+        # at p = 1.1 the remainder after 10^7 terms is still about 2, far
+        # above 1e-3 of any partial sum; at x = 0.05 the log-square remainder
+        # stays infinite past 10^7 terms.  Both once summed all 10^7 terms.
+        terms = []
+        rate = core.RateSchedule.rate
+        monkeypatch.setattr(core.RateSchedule, "rate",
+                            lambda self, k: terms.append(k) or rate(self, k))
+        with pytest.raises(limit.TailSumError, match="tail sum did not stabilize"):
+            limit.exp_tail_sum(sched, x, 1)
+        assert len(terms) < 10
+
+    def test_certificate_past_refused_tail_sums(self):
+        # the search meets windows whose tail sums cannot settle; refusing
+        # them at once leaves the certificate as it was
+        cert = limit.dense_signal_certificate(core.RateSchedule.log_family(1.0, 0.0), 2, 2.4)
+        assert (cert.tau, cert.tail_sum) == (2.0068735251979253, 0.4999999999999999)
+
     def test_explicit_has_no_tail(self):
         with pytest.raises(limit.TailSumError):
             limit.exp_tail_sum(core.RateSchedule.explicit([1.0, 2.0]), 1.0, 1)
