@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,7 @@ _TERM_CAP = 2 ** 25       # subset sums one exact chain evaluation may expand in
 _FLOAT_WEIGHT_CAP = 2 ** 10   # largest subset weight summed in float64
 _GUARD_BITS = 32
 _LOG_SLACK_BITS = 32   # fixed-point bits the log table's error bound may take up
-_EMPIRICAL_BLOCK = 2 ** 16    # array elements per block of empirical samples
+_BLOCK = 2 ** 16    # array elements a blocked evaluation holds at a time
 _MEAN_H0 = 1e-3
 _MEAN_REL_TOL = 1e-8
 _MEAN_MAX_EVALS = 40
@@ -73,7 +74,9 @@ class LaplaceEval:
     """Evaluator for phi(s) = 1 - integral exp(-s x) dF(x), s >= 0.
 
     Invariants for proper laws: phi(0) = 0, phi nondecreasing, phi <= 1.
-    ``kind`` is one of "closed-form", "composite", "empirical".
+    ``kind`` is one of "closed-form", "composite", "empirical".  ``fn`` is
+    called with a float, or with a 1-D float64 array on which it must act
+    entry by entry.
     """
 
     __slots__ = ("_fn", "kind", "label")
@@ -85,11 +88,25 @@ class LaplaceEval:
         self.kind = kind
         self.label = label
 
-    def __call__(self, s: float) -> float:
-        s = float(s)
-        if not (math.isfinite(s) and s >= 0):
-            raise ValueError(f"transforms are evaluated at finite s >= 0, got {s}")
-        return float(self._fn(s))
+    def __call__(self, s: float | np.ndarray) -> float | np.ndarray:
+        """phi at a float s, or elementwise over a 1-D float64 array of points."""
+        if np.ndim(s) == 0:
+            s = float(s)
+            if not (math.isfinite(s) and s >= 0):
+                raise ValueError(f"transforms are evaluated at finite s >= 0, got {s}")
+            return float(self._fn(s))
+        s = np.asarray(s, dtype=np.float64)
+        if s.ndim != 1:
+            raise ValueError(f"transforms take a float or a 1-D array, got shape {s.shape}")
+        bad = np.flatnonzero(~(np.isfinite(s) & (s >= 0)))
+        if len(bad):
+            raise ValueError(f"transforms are evaluated at finite s >= 0, got {s[bad[0]]}")
+        out = np.asarray(self._fn(s), dtype=np.float64)
+        if out.shape != s.shape or not np.isfinite(out).all():
+            raise ValueError(f"{self!r} must give one finite value per point: {len(s)} "
+                             f"points gave shape {out.shape}, "
+                             f"{np.count_nonzero(~np.isfinite(out))} values not finite")
+        return out
 
     def __repr__(self):
         return f"LaplaceEval({self.kind}: {self.label})"
@@ -123,15 +140,16 @@ def _input_law(model: InputModel, lib=np):
     if lib is mpmath:
         samples = [num(v) for v in model.samples.tolist()]
         return lambda x: -mpmath.fsum(mpmath.expm1(-x * v) for v in samples) / len(samples)
-    samples = model.samples
+    negated = -model.samples      # x * -v is -(x * v) exactly
 
     def emp(x):
-        # sum over blocks of samples, so at most _EMPIRICAL_BLOCK terms are held
-        step = max(1, _EMPIRICAL_BLOCK // np.size(x))
+        # sum over blocks of samples, so at most _BLOCK terms are held
+        step = max(1, _BLOCK // np.size(x))
         acc = 0.0
-        for i in range(0, len(samples), step):
-            acc = acc - np.expm1(-np.multiply.outer(x, samples[i:i + step])).sum(axis=-1)
-        return acc / len(samples)
+        for i in range(0, len(negated), step):
+            terms = np.multiply.outer(x, negated[i:i + step])
+            acc = acc - np.expm1(terms, out=terms).sum(axis=-1)
+        return acc / len(negated)
 
     return emp
 
@@ -183,16 +201,23 @@ def _positive_rates(rates) -> list[float]:
 def _guarded(fn, model: InputModel, top: float):
     """``fn`` with phi(0) = 0 and a refusal of any s at which the input law's
     largest argument s + top, plus an exponential input's rate in its
-    denominator, passes the float range."""
+    denominator, passes the float range; on an array, entry by entry, with
+    ``fn`` called on the nonzero entries only."""
     rho = model.rate if model.kind == EXPONENTIAL else 0.0
 
     def checked(s):
-        if not math.isfinite(s + top + rho):
-            raise ValueError(f"s = {s!r} plus the rate sum {top!r} and the input "
+        scalar = np.ndim(s) == 0
+        high = s if scalar else float(np.max(s, initial=0.0))
+        if not math.isfinite(high + top + rho):
+            raise ValueError(f"s = {high!r} plus the rate sum {top!r} and the input "
                              f"rate {rho!r} is beyond the float range")
-        if s == 0.0:
-            return 0.0
-        return fn(s)
+        if scalar:
+            return 0.0 if s == 0.0 else fn(s)
+        out = np.zeros_like(s)
+        live = s != 0.0
+        if live.any():
+            out[live] = fn(s[live])
+        return out
 
     return checked
 
@@ -248,7 +273,9 @@ def _subset_table(rates: list[float]):
 
 def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
     """s -> exp(sum_sigma w_sigma log phi_in(s + sigma)) over a subset table,
-    in float64 while max |w| <= ``_FLOAT_WEIGHT_CAP``, else in mpmath at ``bits``."""
+    in float64 while max |w| <= ``_FLOAT_WEIGHT_CAP``, else in mpmath at ``bits``;
+    at a float s or elementwise over a 1-D array, each value exponentiated by
+    ``math.exp`` so that both give the same bits."""
     if np.abs(weights).max() <= _FLOAT_WEIGHT_CAP:
         if sums.dtype == object:        # Python's int / int rounds once
             sums = np.array([x / (1 << k) for x in sums.tolist()])
@@ -256,46 +283,77 @@ def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
             sums = np.ldexp(sums.astype(np.float64), -k)
         weights = weights.astype(np.float64)
         phi_in = _input_law(model)
-        return lambda s: math.exp(float(np.sum(weights * np.log(phi_in(s + sums)))))
+
+        def total(x):
+            return np.sum(weights * np.log(phi_in(np.add.outer(x, sums))), axis=-1)
+
+        def fn(s):
+            if np.ndim(s) == 0:
+                return math.exp(float(total(s)))
+            rows = max(1, _BLOCK // len(sums))     # points per block of s + sums
+            totals = np.concatenate([total(s[i:i + rows]) for i in range(0, len(s), rows)])
+            return _pointwise(math.exp, totals)
+
+        return fn
     with mpmath.workprec(bits):
         table = [(mpmath.mpf((x, -k)), w) for x, w in zip(sums.tolist(), weights.tolist())]
     phi_in = _input_law(model, mpmath)
 
-    def fn(s):
+    def point(s):
         with mpmath.workprec(bits):
             x = mpmath.mpf(s)
             total = mpmath.fsum(w * mpmath.log(phi_in(x + sigma)) for sigma, w in table)
             return float(mpmath.exp(total))
 
-    return fn
+    return functools.partial(_pointwise, point)
+
+
+def _pointwise(f, s):
+    """``f`` at a float s, or mapped over the entries of a 1-D array s."""
+    if np.ndim(s) == 0:
+        return f(s)
+    return np.array([f(x) for x in s.tolist()], dtype=np.float64)
 
 
 def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
     """Closed-form chain value at one point, expanded over rate subsets.
 
     The value is the ratio of products of ``phi(s + sum of subset)`` over
-    even- and odd-sized subsets.  At s = 0 the empty-subset factor vanishes
-    and the value is 0; extract the mean via :func:`mean_from_transform`
-    instead of dividing here.
+    even- and odd-sized subsets, with phi evaluated at all 2^L points in one
+    array call.  At s = 0 the empty-subset factor vanishes and the value is
+    0; extract the mean via :func:`mean_from_transform` instead of dividing
+    here.  Rates or an s whose sums overflow, and a phi that is not positive
+    at some point, are refused with ValueError.
     """
     rs = _positive_rates(rates)
     L = len(rs)
     if 2 ** L > _TERM_CAP:
         raise ComplexityError(f"subset expansion needs 2**{L} terms; the cap is {_TERM_CAP}")
-    if s < 0:
-        raise ValueError("evaluate at s >= 0")
+    s = float(s)
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"transforms are evaluated at finite s >= 0, got {s}")
     if s == 0.0:
         return 0.0
     if L == 0:
         return phi(s)
+    top = functools.reduce(operator.add, rs)    # the largest sum, rounded as below
+    if not math.isfinite(top):
+        raise ValueError("the recovery rates sum beyond the float range")
+    if not math.isfinite(s + top):
+        raise ValueError(f"s = {s!r} plus the rate sum {top!r} is beyond the float range")
     # subset sums by doubling, lowest index first: deterministic and compact
     sums = np.zeros(1, dtype=np.float64)
     parity = np.zeros(1, dtype=np.int8)
     for r in rs:
         sums = np.concatenate([sums, sums + r])
         parity = np.concatenate([parity, parity ^ 1])
-    logs = np.fromiter((math.log(phi(s + x)) for x in sums), dtype=np.float64,
-                       count=len(sums))
+    points = s + sums
+    values = phi(points)
+    bad = np.flatnonzero(~(values > 0))
+    if len(bad):
+        raise ValueError(f"{phi!r} is {float(values[bad[0]])!r} at s = {float(points[bad[0]])!r}; "
+                         f"the expansion takes logs of positive values only")
+    logs = np.log(values)
     total = float(np.sum(logs[parity == 0]) - np.sum(logs[parity == 1]))
     return math.exp(total)
 

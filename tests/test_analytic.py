@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -83,6 +84,19 @@ def _assert_matches_reference(phi, model, rates, grid, rel, reference=_mp_chain_
         assert err <= rel, f"s={s}: {got!r} vs {mpmath.nstr(ref, 17)} (rel {mpmath.nstr(err, 3)})"
 
 
+def _subset_expansion_loop(phi, rates, s):
+    """The subset expansion with one scalar call of phi per subset sum: the
+    per-point loop that the array path of ``analytic.subset_expansion`` is
+    checked against."""
+    sums = np.zeros(1)
+    parity = np.zeros(1, dtype=np.int8)
+    for r in rates:
+        sums = np.concatenate([sums, sums + r])
+        parity = np.concatenate([parity, parity ^ 1])
+    logs = np.fromiter((math.log(phi(s + x)) for x in sums), dtype=np.float64, count=len(sums))
+    return math.exp(float(np.sum(logs[parity == 0]) - np.sum(logs[parity == 1])))
+
+
 _DIFF_INPUTS = {
     "exp": core.InputModel.exponential(1.3),
     "det": core.InputModel.deterministic(0.8),
@@ -104,6 +118,11 @@ _DIFF_GRID = (1e-3, 0.1, 1.0, 10.0)
 _LINEAR_TRUNCATIONS = {l: (core.InputModel.exponential(float(l)), [float(r) for r in range(1, l)])
                        for l in (16, 32, 64)}
 _LINEAR32_MEAN = 1.8137858019543949     # E T_32 as an exact rational, rounded
+
+
+# a 64-sample empirical law, as in the bench: long enough that an array
+# call sums its samples in blocks of another size than a scalar call
+_EMP64 = core.InputModel.empirical(np.random.default_rng(64).gamma(2.0, 0.5, size=64))
 
 
 class TestInputTransforms:
@@ -369,6 +388,55 @@ class TestSubsetExpansion:
         with pytest.raises(analytic.ComplexityError):
             analytic.subset_expansion(phi, [1.0] * 26, 1.0)
 
+    @pytest.mark.parametrize("input_name", ["exp", "det", "emp"])
+    def test_matches_per_point_loop(self, input_name):
+        model = _EMP64 if input_name == "emp" else _DIFF_INPUTS[input_name]
+        phi = analytic.transform_of_input(model)
+        rng = np.random.default_rng(16)
+        for length in range(1, 15):
+            rates = rng.uniform(0.3, 4.0, size=length)
+            for s in (1e-3, 0.5, 2.0):
+                a = analytic.subset_expansion(phi, rates, s)
+                b = _subset_expansion_loop(phi, rates, s)
+                assert abs(a - b) <= 1e-12 * abs(b), (length, s, a, b)
+
+    def test_composites_match_per_point_loop(self):
+        # a node step and chain transforms on both branches: float64 on
+        # distinct rates, mpmath on 14 unit rates (max |w| = 3432 > 2**10)
+        rng = np.random.default_rng(17)
+        model = _DIFF_INPUTS["det"]
+        composites = [analytic.node_step(analytic.transform_of_input(model), 1.7),
+                      analytic.chain_transform(model, rng.uniform(0.3, 4.0, size=6)),
+                      analytic.chain_transform(model, [1.0] * 14)]
+        for phi in composites:
+            for length in (1, 4, 8):
+                rates = rng.uniform(0.3, 4.0, size=length)
+                for s in (1e-3, 0.5, 2.0):
+                    a = analytic.subset_expansion(phi, rates, s)
+                    b = _subset_expansion_loop(phi, rates, s)
+                    assert abs(a - b) <= 1e-12 * abs(b), (phi, length, s, a, b)
+
+    def test_overflowing_sums_refused_without_warning(self):
+        # numpy's overflow warning is an error under -W error::RuntimeWarning,
+        # so the refusal has to come before any sum is formed
+        phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="the recovery rates sum beyond the float range"):
+                analytic.subset_expansion(phi, [1e308, 1e308], 1.0)
+            with pytest.raises(ValueError, match="beyond the float range"):
+                analytic.subset_expansion(phi, [1e308], 1e308)
+
+    @pytest.mark.parametrize("fn", [lambda s: s - 1.0, lambda s: np.maximum(s - 1.0, 0.0)],
+                             ids=["negative", "zero"])
+    def test_non_positive_values_refused(self, fn):
+        # phi(0.5) is -0.5 or 0, whose log is undefined: refused, naming the point
+        phi = analytic.LaplaceEval(fn, "closed-form", "improper")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"at s = 0\.5;"):
+                analytic.subset_expansion(phi, [1.0, 2.0], 0.5)
+
     @pytest.mark.parametrize("rate", [-0.5, 0.0, math.inf, math.nan])
     def test_non_positive_rates_refused(self, rate):
         # the same refusal as chain_transform's: a rate of -0.5 gave 1.5
@@ -378,6 +446,67 @@ class TestSubsetExpansion:
             analytic.subset_expansion(phi, [1.0, rate], 1.0)
         with pytest.raises(ValueError, match="positive and finite"):
             analytic.chain_transform(model, [1.0, rate])
+
+
+_ARRAY_POINTS = np.concatenate(([0.0, 1e-300], np.geomspace(1e-6, 1e4, 63)))
+
+
+def _array_cases():
+    """(id, transform) for every kind of transform the package builds."""
+    rates = list(np.random.default_rng(18).uniform(0.3, 4.0, size=12))
+    for name in ("exp", "det"):
+        model = _DIFF_INPUTS[name]
+        base = analytic.transform_of_input(model)
+        yield f"{name}-law", base
+        yield f"{name}-node_step", analytic.node_step(base, 1.7)
+        yield f"{name}-chain-float", analytic.chain_transform(model, rates)
+        yield f"{name}-chain-mpmath", analytic.chain_transform(model, [1.0] * 14)
+
+
+_ARRAY_CASES = dict(_array_cases())
+
+
+class TestArrayCalls:
+    @pytest.mark.parametrize("name", list(_ARRAY_CASES))
+    def test_equals_scalar_calls(self, name):
+        # 4096 float sums take the 65 points in blocks of 16
+        phi = _ARRAY_CASES[name]
+        got = phi(_ARRAY_POINTS)
+        assert got.dtype == np.float64 and got.shape == _ARRAY_POINTS.shape
+        assert np.array_equal(got, np.array([phi(x) for x in _ARRAY_POINTS]))
+
+    def test_empirical_law_within_1e_15(self):
+        # the samples are summed in blocks whose size follows the array's
+        phi = analytic.transform_of_input(_EMP64)
+        xs = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 16383)))
+        got, want = phi(xs), np.array([phi(x) for x in xs])
+        assert got[0] == 0.0
+        assert np.all(np.abs(got[1:] - want[1:]) <= 1e-15 * want[1:])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_points_refused(self, bad):
+        phi = analytic.transform_of_input(_DIFF_INPUTS["exp"])
+        with pytest.raises(ValueError, match="finite s >= 0, got"):
+            phi(np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError, match="1-D array"):
+            phi(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("fn", [lambda s: 0.5, lambda s: s[:1], lambda s: s / 0.0],
+                             ids=["scalar", "short", "infinite"])
+    def test_bad_fn_results_refused(self, fn):
+        # a scalar-only fn would otherwise broadcast into a wrong answer
+        phi = analytic.LaplaceEval(fn, "closed-form", "bad")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="one finite value per point"):
+                phi(np.array([1.0, 2.0]))
+
+    def test_overflowing_point_refused(self):
+        # s plus the rate sum passes the float range at the largest entry
+        for phi in (analytic.chain_transform(core.InputModel.exponential(1.0), [1e308]),
+                    analytic.transform_of_input(core.InputModel.exponential(1e308))):
+            with pytest.raises(ValueError, match=r"s = 1e\+308 plus the rate sum"):
+                phi(np.array([1.0, 1e308]))
 
 
 class TestMeanExtraction:
