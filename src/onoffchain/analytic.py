@@ -43,7 +43,7 @@ _LOG_SLACK_BITS = 32   # fixed-point bits the log table's error bound may take u
 _BLOCK = 2 ** 16    # array elements a blocked evaluation holds at a time
 _MEAN_H0 = 1e-3
 _MEAN_REL_TOL = 1e-8
-_MEAN_MAX_EVALS = 40
+_MEAN_MAX_STEPS = 14
 
 
 class PermanentInputError(ValueError):
@@ -75,8 +75,8 @@ class LaplaceEval:
 
     Invariants for proper laws: phi(0) = 0, phi nondecreasing, phi <= 1.
     ``kind`` is one of "closed-form", "composite", "empirical".  ``fn`` is
-    called with a float, or with a 1-D float64 array on which it must act
-    entry by entry.
+    called with a 1-D float64 array only, on which it must act entry by
+    entry: a float s is evaluated as the one-point array [s].
     """
 
     __slots__ = ("_fn", "kind", "label")
@@ -89,12 +89,10 @@ class LaplaceEval:
         self.label = label
 
     def __call__(self, s: float | np.ndarray) -> float | np.ndarray:
-        """phi at a float s, or elementwise over a 1-D float64 array of points."""
+        """phi elementwise over a 1-D float64 array of points, or at a float s
+        as the one value of the array [s]."""
         if np.ndim(s) == 0:
-            s = float(s)
-            if not (math.isfinite(s) and s >= 0):
-                raise ValueError(f"transforms are evaluated at finite s >= 0, got {s}")
-            return float(self._fn(s))
+            return float(self(np.array([s], dtype=np.float64))[0])
         s = np.asarray(s, dtype=np.float64)
         if s.ndim != 1:
             raise ValueError(f"transforms take a float or a 1-D array, got shape {s.shape}")
@@ -127,9 +125,12 @@ def transform_of_input(model: InputModel) -> LaplaceEval:
 
 
 def _input_law(model: InputModel, lib=np):
-    """phi of a proper input law: elementwise on a float array with ``lib``
-    numpy, at one mpmath argument with ``lib`` mpmath, its float parameters
-    converted once and exactly."""
+    """phi of a proper input law: elementwise on a float array of any shape
+    with ``lib`` numpy, at one mpmath argument with ``lib`` mpmath, its float
+    parameters converted once and exactly.  The empirical law sums each
+    point's samples in one row, and takes the points in blocks of
+    ``max(1, _BLOCK // len(samples))``, so no point's value depends on the
+    other points of its call."""
     num = mpmath.mpf if lib is mpmath else float
     if model.kind == EXPONENTIAL:
         rho = num(model.rate)
@@ -141,15 +142,15 @@ def _input_law(model: InputModel, lib=np):
         samples = [num(v) for v in model.samples.tolist()]
         return lambda x: -mpmath.fsum(mpmath.expm1(-x * v) for v in samples) / len(samples)
     negated = -model.samples      # x * -v is -(x * v) exactly
+    rows = max(1, _BLOCK // len(negated))
 
     def emp(x):
-        # sum over blocks of samples, so at most _BLOCK terms are held
-        step = max(1, _BLOCK // np.size(x))
-        acc = 0.0
-        for i in range(0, len(negated), step):
-            terms = np.multiply.outer(x, negated[i:i + step])
-            acc = acc - np.expm1(terms, out=terms).sum(axis=-1)
-        return acc / len(negated)
+        flat = np.ravel(x)
+        out = np.empty_like(flat)
+        for i in range(0, len(flat), rows):
+            terms = np.multiply.outer(flat[i:i + rows], negated)
+            out[i:i + rows] = np.expm1(terms, out=terms).sum(axis=-1)
+        return (-out / len(negated)).reshape(np.shape(x))
 
     return emp
 
@@ -160,6 +161,9 @@ def node_step(phi: LaplaceEval, rate: float) -> LaplaceEval:
         raise ValueError("recovery rate must be positive")
 
     def stepped(s):
+        high = float(np.max(s, initial=0.0))    # numpy warns on an overflowing add
+        if not math.isfinite(high + rate):
+            raise ValueError(f"s = {high!r} plus the rate {rate!r} is beyond the float range")
         return phi(s) / phi(s + rate)
 
     return LaplaceEval(stepped, "composite", f"{phi.label} -> node({rate})")
@@ -199,20 +203,17 @@ def _positive_rates(rates) -> list[float]:
 
 
 def _guarded(fn, model: InputModel, top: float):
-    """``fn`` with phi(0) = 0 and a refusal of any s at which the input law's
-    largest argument s + top, plus an exponential input's rate in its
-    denominator, passes the float range; on an array, entry by entry, with
-    ``fn`` called on the nonzero entries only."""
+    """``fn`` on an array of points, with phi(0) = 0 entry by entry (``fn``
+    is called on the nonzero entries only) and a refusal of the array if at
+    its largest entry s the input law's largest argument s + top, plus an
+    exponential input's rate in its denominator, passes the float range."""
     rho = model.rate if model.kind == EXPONENTIAL else 0.0
 
     def checked(s):
-        scalar = np.ndim(s) == 0
-        high = s if scalar else float(np.max(s, initial=0.0))
+        high = float(np.max(s, initial=0.0))
         if not math.isfinite(high + top + rho):
             raise ValueError(f"s = {high!r} plus the rate sum {top!r} and the input "
                              f"rate {rho!r} is beyond the float range")
-        if scalar:
-            return 0.0 if s == 0.0 else fn(s)
         out = np.zeros_like(s)
         live = s != 0.0
         if live.any():
@@ -274,8 +275,9 @@ def _subset_table(rates: list[float]):
 def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
     """s -> exp(sum_sigma w_sigma log phi_in(s + sigma)) over a subset table,
     in float64 while max |w| <= ``_FLOAT_WEIGHT_CAP``, else in mpmath at ``bits``;
-    at a float s or elementwise over a 1-D array, each value exponentiated by
-    ``math.exp`` so that both give the same bits."""
+    elementwise over a 1-D array, each point's sum taken in one row and
+    exponentiated by ``math.exp``, so a point's value does not depend on the
+    other points of its call."""
     if np.abs(weights).max() <= _FLOAT_WEIGHT_CAP:
         if sums.dtype == object:        # Python's int / int rounds once
             sums = np.array([x / (1 << k) for x in sums.tolist()])
@@ -288,11 +290,9 @@ def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
             return np.sum(weights * np.log(phi_in(np.add.outer(x, sums))), axis=-1)
 
         def fn(s):
-            if np.ndim(s) == 0:
-                return math.exp(float(total(s)))
             rows = max(1, _BLOCK // len(sums))     # points per block of s + sums
             totals = np.concatenate([total(s[i:i + rows]) for i in range(0, len(s), rows)])
-            return _pointwise(math.exp, totals)
+            return np.array([math.exp(x) for x in totals.tolist()])
 
         return fn
     with mpmath.workprec(bits):
@@ -305,14 +305,7 @@ def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
             total = mpmath.fsum(w * mpmath.log(phi_in(x + sigma)) for sigma, w in table)
             return float(mpmath.exp(total))
 
-    return functools.partial(_pointwise, point)
-
-
-def _pointwise(f, s):
-    """``f`` at a float s, or mapped over the entries of a 1-D array s."""
-    if np.ndim(s) == 0:
-        return f(s)
-    return np.array([f(x) for x in s.tolist()], dtype=np.float64)
+    return lambda s: np.array([point(x) for x in s.tolist()])
 
 
 def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
@@ -363,22 +356,21 @@ def mean_from_transform(phi: LaplaceEval) -> float:
 
     Uses Richardson extrapolation on a halving step, starting at 1e-3,
     until two successive extrapolants agree to ``_MEAN_REL_TOL`` (1e-8
-    relative).  Raises ConvergenceError when ``_MEAN_MAX_EVALS`` evaluations
-    do not get there.
+    relative).  Each step reads phi at h, h/2 and h/4; the next step's h is
+    this one's h/2, exactly, so each halving evaluates phi once, at h/4.
+    Raises ConvergenceError when ``_MEAN_MAX_STEPS`` halvings do not get
+    there.
     """
-    if abs(phi(0.0)) > 1e-12:
-        raise ImproperTransformError(f"phi(0) = {phi(0.0)}, expected 0")
+    phi0 = phi(0.0)
+    if abs(phi0) > 1e-12:
+        raise ImproperTransformError(f"phi(0) = {phi0}, expected 0")
     h = _MEAN_H0
-    prev = None
-    first = None
+    a1, a2 = phi(h) / h, phi(h / 2) / (h / 2)
+    prev = first = None
     est = delta = math.nan
     growth = 0
-    evals = 0
-    while evals < _MEAN_MAX_EVALS:
-        a0 = phi(h) / h
-        a1 = phi(h / 2) / (h / 2)
-        a2 = phi(h / 4) / (h / 4)
-        evals += 3
+    for _ in range(_MEAN_MAX_STEPS):
+        a0, a1, a2 = a1, a2, phi(h / 4) / (h / 4)
         r1a = 2 * a1 - a0
         r1b = 2 * a2 - a1
         est = (4 * r1b - r1a) / 3
@@ -394,8 +386,8 @@ def mean_from_transform(phi: LaplaceEval) -> float:
         prev = est
         h /= 2
     raise ConvergenceError(
-        f"phi(s)/s did not settle to rel_tol={_MEAN_REL_TOL} within {_MEAN_MAX_EVALS} "
-        f"evaluations; last estimate {est!r}, last change {delta!r}")
+        f"phi(s)/s did not settle to rel_tol={_MEAN_REL_TOL} within {_MEAN_MAX_STEPS} "
+        f"halvings; last estimate {est!r}, last change {delta!r}")
 
 
 def permanent_reduce(config: SystemConfig) -> SystemConfig:

@@ -120,8 +120,8 @@ _LINEAR_TRUNCATIONS = {l: (core.InputModel.exponential(float(l)), [float(r) for 
 _LINEAR32_MEAN = 1.8137858019543949     # E T_32 as an exact rational, rounded
 
 
-# a 64-sample empirical law, as in the bench: long enough that an array
-# call sums its samples in blocks of another size than a scalar call
+# a 64-sample empirical law, as in the bench: a 12-rate chain on it has
+# more subset sums than 2**16 / 64, so its points are summed in blocks
 _EMP64 = core.InputModel.empirical(np.random.default_rng(64).gamma(2.0, 0.5, size=64))
 
 
@@ -161,6 +161,16 @@ class TestNodeStep:
         phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
         stepped = analytic.node_step(phi, 1.0)
         assert stepped(1.0) == pytest.approx((1 / 2) / (2 / 3), abs=1e-15)
+
+    def test_overflowing_point_refused_without_warning(self):
+        # s + rate is formed on an array, where numpy warns on overflow
+        phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
+        stepped = analytic.node_step(phi, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for s in (1e308, np.array([1.0, 1e308])):
+                with pytest.raises(ValueError, match=r"s = 1e\+308 plus the rate 1e\+308"):
+                    stepped(s)
 
     def test_huge_rate_approaches_identity(self):
         phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
@@ -454,8 +464,8 @@ _ARRAY_POINTS = np.concatenate(([0.0, 1e-300], np.geomspace(1e-6, 1e4, 63)))
 def _array_cases():
     """(id, transform) for every kind of transform the package builds."""
     rates = list(np.random.default_rng(18).uniform(0.3, 4.0, size=12))
-    for name in ("exp", "det"):
-        model = _DIFF_INPUTS[name]
+    for name in ("exp", "det", "emp"):
+        model = _EMP64 if name == "emp" else _DIFF_INPUTS[name]
         base = analytic.transform_of_input(model)
         yield f"{name}-law", base
         yield f"{name}-node_step", analytic.node_step(base, 1.7)
@@ -475,13 +485,13 @@ class TestArrayCalls:
         assert got.dtype == np.float64 and got.shape == _ARRAY_POINTS.shape
         assert np.array_equal(got, np.array([phi(x) for x in _ARRAY_POINTS]))
 
-    def test_empirical_law_within_1e_15(self):
-        # the samples are summed in blocks whose size follows the array's
+    def test_empirical_law_equals_scalar_calls(self):
+        # each point's samples are summed in one row, whatever the array's size
         phi = analytic.transform_of_input(_EMP64)
         xs = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 16383)))
-        got, want = phi(xs), np.array([phi(x) for x in xs])
+        got = phi(xs)
         assert got[0] == 0.0
-        assert np.all(np.abs(got[1:] - want[1:]) <= 1e-15 * want[1:])
+        assert np.array_equal(got, np.array([phi(x) for x in xs]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_bad_points_refused(self, bad):
@@ -491,15 +501,34 @@ class TestArrayCalls:
         with pytest.raises(ValueError, match="1-D array"):
             phi(np.ones((2, 2)))
 
-    @pytest.mark.parametrize("fn", [lambda s: 0.5, lambda s: s[:1], lambda s: s / 0.0],
+    @pytest.mark.parametrize("fn", [lambda s: 0.5, lambda s: s[:-1], lambda s: s / 0.0],
                              ids=["scalar", "short", "infinite"])
     def test_bad_fn_results_refused(self, fn):
-        # a scalar-only fn would otherwise broadcast into a wrong answer
+        # a scalar-only fn would otherwise broadcast into a wrong answer; a
+        # float is a one-point array, so its call is refused alike
         phi = analytic.LaplaceEval(fn, "closed-form", "bad")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(ValueError, match="one finite value per point"):
-                phi(np.array([1.0, 2.0]))
+            for s in (np.array([1.0, 2.0]), 1.0):
+                with pytest.raises(ValueError, match="one finite value per point"):
+                    phi(s)
+
+    def test_nan_refused_at_a_float(self):
+        # a float call used to return the nan, and the mean extraction spent
+        # all its evaluations on it before it gave up
+        points = []
+
+        def fn(s):
+            points.extend(s.tolist())
+            return np.where(s > 0, np.nan, 0.0)
+
+        phi = analytic.LaplaceEval(fn, "closed-form", "nan")
+        with pytest.raises(ValueError, match="1 values not finite"):
+            phi(1.0)
+        points.clear()
+        with pytest.raises(ValueError, match="one finite value per point"):
+            analytic.mean_from_transform(phi)
+        assert points == [0.0, analytic._MEAN_H0]
 
     def test_overflowing_point_refused(self):
         # s plus the rate sum passes the float range at the largest entry
@@ -507,6 +536,39 @@ class TestArrayCalls:
                     analytic.transform_of_input(core.InputModel.exponential(1e308))):
             with pytest.raises(ValueError, match=r"s = 1e\+308 plus the rate sum"):
                 phi(np.array([1.0, 1e308]))
+
+
+def _richardson_loop(phi):
+    """The mean extraction with three evaluations of phi per halving step:
+    the loop that ``analytic.mean_from_transform``, which evaluates each
+    point once, is checked against."""
+    if abs(phi(0.0)) > 1e-12:
+        raise analytic.ImproperTransformError(f"phi(0) = {phi(0.0)}, expected 0")
+    h = analytic._MEAN_H0
+    prev = first = None
+    growth = evals = 0
+    while evals < 3 * analytic._MEAN_MAX_STEPS:
+        a0 = phi(h) / h
+        a1 = phi(h / 2) / (h / 2)
+        a2 = phi(h / 4) / (h / 4)
+        evals += 3
+        est = (4 * (2 * a2 - a1) - (2 * a1 - a0)) / 3
+        if prev is not None:
+            if abs(est - prev) <= analytic._MEAN_REL_TOL * max(abs(est), 1e-300):
+                return est
+            growth = growth + 1 if abs(est) > 1.02 * abs(prev) else 0
+            if growth >= 6 and abs(est) > 8.0 * abs(first):
+                raise analytic.InfiniteMeanError("phi(s)/s keeps growing as s -> 0")
+        else:
+            first = est
+        prev = est
+        h /= 2
+    raise analytic.ConvergenceError("phi(s)/s did not settle")
+
+
+def _oscillating(s):
+    # phi(h)/h flips between 2 + c and 2 - c at every halving of h
+    return s * (2.0 + np.cos(np.pi * np.log2(np.where(s > 0, s, 1.0))))
 
 
 class TestMeanExtraction:
@@ -529,19 +591,36 @@ class TestMeanExtraction:
             analytic.mean_from_transform(phi)
 
     def test_unsettled_extrapolation_raises(self):
-        # phi(h)/h flips between 2 + c and 2 - c at every halving of h, so
         # the extrapolants oscillate for ever without growing
-        phi = analytic.LaplaceEval(
-            lambda s: 0.0 if s == 0 else s * (2.0 + math.cos(math.pi * math.log2(s))),
-            "closed-form", "oscillating")
+        phi = analytic.LaplaceEval(_oscillating, "closed-form", "oscillating")
         with pytest.raises(analytic.ConvergenceError):
             analytic.mean_from_transform(phi)
 
     def test_infinite_mean_detected(self):
-        phi = analytic.LaplaceEval(lambda s: min(1.0, math.sqrt(s)),
+        phi = analytic.LaplaceEval(lambda s: np.minimum(1.0, np.sqrt(s)),
                                    "closed-form", "heavy tail")
         with pytest.raises(analytic.InfiniteMeanError):
             analytic.mean_from_transform(phi)
+
+    def test_matches_three_evaluation_loop(self):
+        # each point is evaluated once, and the means keep their bits
+        exp1 = core.InputModel.exponential(1.0)
+        cases = [analytic.chain_transform(exp1, [1.0] * n) for n in (8, 16, 32, 64)]
+        cases += [analytic.chain_transform(exp1, [1.0, 2.0]),
+                  analytic.chain_transform(exp1, [float(r) for r in range(1, 32)]),
+                  analytic.chain_transform(core.InputModel.deterministic(0.8), [1.0] * 13)]
+        for phi in cases:
+            points = []
+            counted = analytic.LaplaceEval(lambda s, phi=phi: points.extend(s.tolist()) or phi(s),
+                                           phi.kind, phi.label)
+            assert analytic.mean_from_transform(counted) == _richardson_loop(phi), phi
+            # phi(0), then h and h/2, then h/4 once per halving
+            assert len(points) == len(set(points)) <= 3 + analytic._MEAN_MAX_STEPS, phi
+        for fn, error in ((_oscillating, analytic.ConvergenceError),
+                          (lambda s: np.minimum(1.0, np.sqrt(s)), analytic.InfiniteMeanError)):
+            phi = analytic.LaplaceEval(fn, "closed-form", "divergent")
+            with pytest.raises(error):
+                _richardson_loop(phi)
 
 
 class TestPermanentReduce:

@@ -1,11 +1,22 @@
 """Source checks on ``onoffchain``: no rule of the package may depend on
 whether Python runs with ``-O``, which strips ``assert`` statements and sets
-``__debug__`` and ``sys.flags.optimize``."""
+``__debug__`` and ``sys.flags.optimize``; and the package imports nothing
+beyond the standard library and its declared dependencies."""
 
 import ast
+import sys
 from pathlib import Path
 
 import onoffchain
+
+# the dependencies declared in pyproject.toml, and the package itself
+_ALLOWED_IMPORTS = sys.stdlib_module_names | {"numpy", "mpmath", "onoffchain"}
+
+
+def _modules() -> list[Path]:
+    modules = sorted(Path(onoffchain.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    return modules
 
 
 def _optimize_dependent(source: str) -> list[tuple[int, str]]:
@@ -24,13 +35,37 @@ def _optimize_dependent(source: str) -> list[tuple[int, str]]:
     return found
 
 
+def _undeclared_imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level module) for each absolute import in ``source`` that
+    is neither in the standard library nor allowed in ``_ALLOWED_IMPORTS``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, top) for name in names
+                     if (top := name.partition(".")[0]) not in _ALLOWED_IMPORTS)
+    return found
+
+
 def test_no_module_depends_on_python_optimize():
     planted = ("assert x\nif __debug__:\n    pass\nimport sys\ny = sys.flags.optimize\n"
                "from sys import flags\nz = flags.optimize\n")
     assert [c for _, c in _optimize_dependent(planted)] == [
         "assert", "__debug__", "flags.optimize", "flags.optimize"]
-    modules = sorted(Path(onoffchain.__file__).parent.glob("*.py"))
-    assert len(modules) >= 8
-    found = {path.name: hits for path in modules
+    found = {path.name: hits for path in _modules()
              if (hits := _optimize_dependent(path.read_text()))}
+    assert found == {}
+
+
+def test_imports_only_declared_dependencies():
+    # scipy and sympy may be installed, but pyproject declares numpy and mpmath
+    planted = ("import math, scipy\nimport numpy.linalg\nfrom sympy.core import S\n"
+               "from . import core\nfrom mpmath import mpf\nimport onoffchain.sim\n")
+    assert _undeclared_imports(planted) == [(1, "scipy"), (3, "sympy")]
+    found = {path.name: hits for path in _modules()
+             if (hits := _undeclared_imports(path.read_text()))}
     assert found == {}
