@@ -157,8 +157,7 @@ def _input_law(model: InputModel, lib=np):
 
 def node_step(phi: LaplaceEval, rate: float) -> LaplaceEval:
     """Transform after the stream passes one node with the given rate."""
-    if not rate > 0:
-        raise ValueError("recovery rate must be positive")
+    (rate,) = _positive_rates([rate])
 
     def stepped(s):
         high = float(np.max(s, initial=0.0))    # numpy warns on an overflowing add

@@ -6,9 +6,10 @@ its threshold t_i, every larger index is already 1 - equivalently
 
     blocked(i)  <=>  for all j > i: j is unblocked and t_j < t_i.
 
-No assignment satisfies this rule at every index.  This module makes that
-refutation executable for candidates described by a finite blocked set plus
-an all-blocked / all-unblocked tail flag: the rule is decided index by index
+Its threshold half says that t_i is a *right record*.  No assignment
+satisfies this rule at every index.  This module makes that refutation
+executable for candidates described by a finite blocked set plus an
+all-blocked / all-unblocked tail flag: the rule is decided index by index
 with finitely many threshold evaluations (a tail certificate bounds where
 thresholds drop below any epsilon), and a violated index is produced for
 every candidate.
@@ -162,45 +163,34 @@ def _distinct(a: float, b: float, ia: int, ib: int):
             f"t_{ia} == t_{ib} == {a}; the rule needs distinct thresholds")
 
 
+def _larger_later(seq: ThresholdSequence, i: int) -> int | None:
+    """The first j > i with t_j > t_i, scanned up to the tail certificate for
+    eps = t_i; None when t_i is a right record, above every later threshold."""
+    ti = seq.value(i)
+    for j in range(i + 1, seq.tail_index(ti)):
+        tj = seq.value(j)
+        _distinct(ti, tj, i, j)
+        if tj > ti:
+            return j
+    return None
+
+
 def _rule_requires_blocked(seq: ThresholdSequence, cand: BlockedCandidate,
                            i: int) -> tuple[bool, str]:
     """Evaluate the right-hand side of the rule at index i.
 
-    True means the rule forces i to be blocked (every later index is
-    unblocked with a smaller threshold); the string explains the decision.
+    True means the rule forces i to be blocked: every later index is
+    unblocked and t_i is a right record.  The string explains the decision.
     """
     if cand.tail_all_blocked:
         return False, f"index {max(i, cand.horizon) + 1} and beyond stay blocked"
     later_blocked = [j for j in cand.described if j > i]
     if later_blocked:
         return False, f"index {min(later_blocked)} stays blocked"
-    ti = seq.value(i)
-    n = seq.tail_index(ti)
-    for j in range(i + 1, n):
-        tj = seq.value(j)
-        _distinct(ti, tj, i, j)
-        if tj > ti:
-            return False, f"t_{j} = {tj} exceeds t_{i} = {ti}"
-    return True, ("every index beyond "
-                  f"{i} is unblocked with a smaller threshold")
-
-
-def _first_tail_record(seq: ThresholdSequence, after: int) -> int:
-    """Index of the largest threshold among indices > after.
-
-    Exists because thresholds tend to 0; found by scanning up to the tail
-    certificate for eps = t_{after+1}.
-    """
-    eps = seq.value(after + 1)
-    n = max(seq.tail_index(eps), after + 2)
-    best = after + 1
-    best_v = seq.value(best)
-    for j in range(after + 2, n):
-        v = seq.value(j)
-        _distinct(v, best_v, j, best)
-        if v > best_v:
-            best, best_v = j, v
-    return best
+    j = _larger_later(seq, i)
+    if j is not None:
+        return False, f"t_{j} = {seq.value(j)} exceeds t_{i} = {seq.value(i)}"
+    return True, f"every index beyond {i} is unblocked with a smaller threshold"
 
 
 def check_candidate(seq: ThresholdSequence,
@@ -209,24 +199,22 @@ def check_candidate(seq: ThresholdSequence,
 
     Scans indices in ascending order up to a horizon that provably contains
     a violated index for every finitely described candidate (the smallest
-    blocked index for an all-blocked tail; the first tail record of the
-    threshold sequence otherwise) and reports the first mismatch.
+    blocked index for an all-blocked tail; otherwise the first right record
+    beyond ``cand.horizon``, reached along ``_larger_later``) and reports the
+    first mismatch.
     """
     if cand.tail_all_blocked:
         scan_to = min(cand.described) if cand.described else cand.horizon + 1
     else:
-        anchor = max(cand.described, default=0)
-        anchor = max(anchor, cand.horizon)
-        scan_to = _first_tail_record(seq, anchor)
+        scan_to = cand.horizon + 1
+        while (j := _larger_later(seq, scan_to)) is not None:
+            scan_to = j
     for i in range(1, scan_to + 1):
         required, why = _rule_requires_blocked(seq, cand, i)
-        stated = cand.blocked(i)
-        if stated != required:
-            if required:
-                reason = f"index {i} must be blocked: {why}"
-            else:
-                reason = f"index {i} must be unblocked: {why}"
-            return ConsistencyResult(False, witness=i, reason=reason)
+        if cand.blocked(i) != required:
+            must = "blocked" if required else "unblocked"
+            return ConsistencyResult(False, witness=i,
+                                     reason=f"index {i} must be {must}: {why}")
     # unreachable for well-formed threshold sequences; reported rather than
     # asserted so the exhaustive search can surface an implementation bug
     return ConsistencyResult(True, reason="no contradiction found within the "

@@ -64,6 +64,7 @@ __all__ = [
 
 
 _TAIL_TERMS = 10_000_000     # terms a log-family tail sum may add
+_NO_TAIL = "explicit schedules have no tail beyond their length"
 
 
 class TailSumError(ArithmeticError):
@@ -101,8 +102,7 @@ def classify_rates(rates: RateSchedule) -> TailClassification:
     """
     fam = rates.family
     if fam == EXPLICIT:
-        raise ValueError("explicit schedules have no tail beyond their length; "
-                         "classification needs a parametric family")
+        raise ValueError(f"{_NO_TAIL}; classification needs a parametric family")
     if fam == CONSTANT:
         return TailClassification(math.inf, 1,
                                   "constant rates: the sum diverges for every t")
@@ -145,8 +145,7 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
         tail = math.exp(-arg) / -math.expm1(-cx)
         return math.nextafter(tail * (1.0 + (arg + 5.0) * 2.0 ** -52), math.inf)
     if fam == EXPLICIT:
-        raise TailSumError("explicit schedules have no tail beyond their length; "
-                           "tail sums need a parametric family")
+        raise TailSumError(f"{_NO_TAIL}; tail sums need a parametric family")
     # remainder(j) bounds sum_{k >= j} exp(-rate(k) x), or is inf where no
     # bound is known yet
     if fam == LOG_FAMILY:
@@ -236,6 +235,8 @@ def monotonicity_check(k: int, l_list, rates: RateSchedule, reps: int,
     Ladder points share the seed, hence couple through common recovery
     streams; that only sharpens the comparison, the band stays valid.
     """
+    if not 0 < alpha < 1:     # dkw_band alone would take alpha / 2 up to 1
+        raise ValueError(f"need 0 < alpha < 1, got alpha={alpha!r}")
     band = dkw_band(reps, alpha / 2.0) * 2.0
     ls, samples = _rung_samples(k, l_list, rates, reps, seed)
     rows = tuple((a, b, dominance_check(x, y, band))
@@ -304,8 +305,11 @@ def dense_signal_certificate(rates: RateSchedule, k: int,
     """Smallest recovery window tau in (0, budget] with tail mass <= 1/k.
 
     Binary search on the monotone tail sum; raises when even the full budget
-    fails the target (constant-rate schedules never certify).
+    fails the target (constant-rate schedules never certify).  Explicit
+    schedules are refused, having no tail to bound.
     """
+    if rates.family == EXPLICIT:
+        raise ValueError(f"{_NO_TAIL}; certificates need a parametric family")
     if k < 1:
         raise ValueError("node index must be >= 1")
     if not (budget > 0 and math.isfinite(budget)):

@@ -549,6 +549,8 @@ def ks_statistic(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
 def ks_two_sample_critical(na: int, nb: int, alpha: float) -> float:
     """Asymptotic two-sample rejection threshold at level alpha: the band at
     the effective sample size na nb / (na + nb)."""
+    if not (na > 0 and nb > 0):
+        raise ValueError(f"sample sizes must be positive, got {na!r} and {nb!r}")
     return dkw_band(na * nb / (na + nb), alpha)
 
 
@@ -563,7 +565,10 @@ def ks_one_sample(dist: EmpiricalDistribution, cdf) -> float:
 
 def dkw_band(n: float, alpha: float) -> float:
     """Half-width of the level-(1-alpha) uniform CDF confidence band,
-    sqrt(ln(2/alpha) / (2n)); also the asymptotic one-sample KS threshold."""
+    sqrt(ln(2/alpha) / (2n)); also the asymptotic one-sample KS threshold.
+    Refuses n <= 0 and a level alpha outside (0, 1)."""
+    if not (n > 0 and 0 < alpha < 1):
+        raise ValueError(f"need n > 0 and 0 < alpha < 1, got n={n!r}, alpha={alpha!r}")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 

@@ -172,6 +172,13 @@ class TestNodeStep:
                 with pytest.raises(ValueError, match=r"s = 1e\+308 plus the rate 1e\+308"):
                     stepped(s)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
+    def test_rate_refused_when_built(self, rate):
+        # an infinite rate used to build and fail only at its first evaluation
+        phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
+        with pytest.raises(ValueError, match="recovery rates must be positive and finite"):
+            analytic.node_step(phi, rate)
+
     def test_huge_rate_approaches_identity(self):
         phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
         stepped = analytic.node_step(phi, 1e6)

@@ -250,6 +250,11 @@ class TestExitCodes:
         code, _, err = run_cli(["limit", "--rates", "linear:1", "--certify", "2"], capsys)
         assert code == 2 and "usage" not in err
 
+    def test_certify_explicit_schedule_is_two(self, capsys):
+        code, out, err = run_cli(["limit", "--rates", "explicit:1,2", "--certify", "5"], capsys)
+        assert code == 2 and out == ""
+        assert "explicit schedules have no tail" in err and "usage" not in err
+
     def test_infinite_horizon_is_usage_error(self, capsys):
         code, out, err = run_cli(["simulate", "--rates", "explicit:1", "--input", "exp:1",
                                   "--stop", "horizon:inf"], capsys)

@@ -1,3 +1,6 @@
+import re
+from itertools import combinations
+
 import pytest
 
 from onoffchain import frozen
@@ -99,3 +102,143 @@ class TestExhaustiveSearch:
         lines = list(report.csv_lines())
         assert lines[0] == "candidate,tail,verdict,witness_index,reason"
         assert len(lines) == report.total + 1
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the refuter as it stood with two threshold scans, one
+# for the rule's right-hand side and one for the scan horizon
+# ---------------------------------------------------------------------------
+
+def _first_tail_record(seq, after):
+    """Index of the largest threshold among indices > after.
+
+    Exists because thresholds tend to 0; found by scanning up to the tail
+    certificate for eps = t_{after+1}.
+    """
+    eps = seq.value(after + 1)
+    n = max(seq.tail_index(eps), after + 2)
+    best = after + 1
+    best_v = seq.value(best)
+    for j in range(after + 2, n):
+        v = seq.value(j)
+        frozen._distinct(v, best_v, j, best)
+        if v > best_v:
+            best, best_v = j, v
+    return best
+
+
+def _two_scan_rule(seq, cand, i):
+    if cand.tail_all_blocked:
+        return False, f"index {max(i, cand.horizon) + 1} and beyond stay blocked"
+    later_blocked = [j for j in cand.described if j > i]
+    if later_blocked:
+        return False, f"index {min(later_blocked)} stays blocked"
+    ti = seq.value(i)
+    n = seq.tail_index(ti)
+    for j in range(i + 1, n):
+        tj = seq.value(j)
+        frozen._distinct(ti, tj, i, j)
+        if tj > ti:
+            return False, f"t_{j} = {tj} exceeds t_{i} = {ti}"
+    return True, ("every index beyond "
+                  f"{i} is unblocked with a smaller threshold")
+
+
+def _two_scan_check(seq, cand):
+    if cand.tail_all_blocked:
+        scan_to = min(cand.described) if cand.described else cand.horizon + 1
+    else:
+        anchor = max(cand.described, default=0)
+        anchor = max(anchor, cand.horizon)
+        scan_to = _first_tail_record(seq, anchor)
+    for i in range(1, scan_to + 1):
+        required, why = _two_scan_rule(seq, cand, i)
+        stated = cand.blocked(i)
+        if stated != required:
+            if required:
+                reason = f"index {i} must be blocked: {why}"
+            else:
+                reason = f"index {i} must be unblocked: {why}"
+            return frozen.ConsistencyResult(False, witness=i, reason=reason)
+    return frozen.ConsistencyResult(True, reason="no contradiction found within the "
+                                                 "decidable horizon")
+
+
+CORPUS = {
+    "geometric:0.5": GEO,
+    "geometric:0.9": frozen.ThresholdSequence.geometric(0.9),
+    "geometric:0.1": frozen.ThresholdSequence.geometric(0.1),
+    "harmonic": HARM,
+    "[0.3,0.7]@geometric:0.5": frozen.ThresholdSequence.with_prefix([0.3, 0.7], GEO),
+    "[0.9,0.01,0.6]@harmonic": frozen.ThresholdSequence.with_prefix([0.9, 0.01, 0.6], HARM),
+    "[0.2,0.05,0.4,0.3]@geometric:0.8": frozen.ThresholdSequence.with_prefix(
+        [0.2, 0.05, 0.4, 0.3], frozen.ThresholdSequence.geometric(0.8)),
+}
+
+
+class TestOneRightRecordScan:
+    @pytest.mark.parametrize("seq", list(CORPUS.values()), ids=list(CORPUS))
+    def test_search_rows_equal_the_two_scan_refuter(self, monkeypatch, seq):
+        for m in range(11):
+            got = frozen.exhaustive_search(seq, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(frozen, "check_candidate", _two_scan_check)
+                want = frozen.exhaustive_search(seq, m)
+            assert got == want
+
+    @pytest.mark.parametrize("seq", list(CORPUS.values()), ids=list(CORPUS))
+    def test_scan_horizon_is_the_first_tail_record(self, monkeypatch, seq):
+        # with a rule that agrees with every candidate, check_candidate scans
+        # its whole horizon: the first right record beyond cand.horizon
+        scanned = []
+
+        def agreeing(seq, cand, i):
+            scanned.append(i)
+            return cand.blocked(i), ""
+
+        for m in range(11):
+            # the first right record beyond m, by its definition
+            first = next(i for i in range(m + 1, m + 100)
+                         if frozen._larger_later(seq, i) is None)
+            assert first == _first_tail_record(seq, m)
+            # the described set does not move the horizon
+            for cand in (candidate([], m), candidate(range(1, m + 1), m)):
+                scanned.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(frozen, "_rule_requires_blocked", agreeing)
+                    assert frozen.check_candidate(seq, cand).consistent
+                assert scanned == list(range(1, first + 1))
+
+    @pytest.mark.parametrize("prefix, tail, meets_duplicate", [
+        ([0.25], GEO, True), ([0.5, 0.1], GEO, False), ([0.3, 0.5, 0.0625], GEO, True),
+        ([0.2, 0.9, 0.2], HARM, True),
+        ([0.05, 0.3], HARM, False)])    # t_1 == t_19, but no scan compares them
+    def test_duplicates_refused_on_the_same_inputs(self, prefix, tail, meets_duplicate):
+        seq = frozen.ThresholdSequence.with_prefix(prefix, tail)
+        met = False
+        for m in range(5):
+            for size in range(m + 1):
+                for combo in combinations(range(1, m + 1), size):
+                    for tail_blocked in (False, True):
+                        cand = candidate(combo, m, tail_blocked)
+                        outcomes = []
+                        for check in (frozen.check_candidate, _two_scan_check):
+                            try:
+                                outcomes.append(check(seq, cand))
+                            except frozen.DuplicateThresholdError as exc:
+                                pair = [int(x) for x in re.findall(r"t_(\d+)", str(exc))]
+                                outcomes.append(sorted(pair))
+                                if check is frozen.check_candidate:
+                                    assert pair == sorted(pair)
+                        assert outcomes[0] == outcomes[1]
+                        met |= isinstance(outcomes[0], list)
+        assert met == meets_duplicate
+
+    def test_duplicate_message_names_the_earlier_index_first(self):
+        # the two-scan horizon named this pair "t_2 == t_1"
+        seq = frozen.ThresholdSequence.with_prefix([0.25], GEO)
+        with pytest.raises(frozen.DuplicateThresholdError,
+                           match=r"^t_1 == t_2 == 0\.25; "):
+            frozen.check_candidate(seq, candidate([], 0))
+        with pytest.raises(frozen.DuplicateThresholdError, match=r"^t_2 == t_1 == 0\.25; "):
+            _two_scan_check(seq, candidate([], 0))

@@ -146,6 +146,13 @@ class TestMonotonicity:
         res = sim.dominance_check(b, a, band=sim.dkw_band(4000, 0.005) * 2)
         assert not res.dominates and res.witness is not None
 
+    @pytest.mark.parametrize("reps, alpha", [(100, 0.0), (100, 1.5), (100, 2.0), (100, 5.0),
+                                             (0, 0.01)])
+    def test_band_refusal_reaches_the_check(self, reps, alpha):
+        # refused before any rung is sampled; alpha = 1.5 gave a band at 0.75
+        with pytest.raises(ValueError, match="0 < alpha < 1"):
+            limit.monotonicity_check(1, [2, 3], LINEAR, reps, seed=0, alpha=alpha)
+
     def test_requires_ascending_ladder(self):
         with pytest.raises(ValueError):
             limit.monotonicity_check(1, [4, 2], LINEAR, 10, seed=0)
@@ -199,6 +206,14 @@ class TestDenseCertificates:
     def test_constant_rates_cannot_certify(self):
         with pytest.raises(limit.CertificateUnavailableError):
             limit.dense_signal_certificate(core.RateSchedule.constant(1.0), 10, budget=0.5)
+
+    def test_explicit_schedule_refused_for_its_tail(self):
+        # the refusal names the missing tail, not a failed budget search
+        explicit = core.RateSchedule.explicit([1.0, 2.0])
+        for certify in (lambda: limit.dense_signal_certificate(explicit, 5, budget=0.5),
+                        lambda: limit.interval_reception_bound(5, (0.0, 1.0), explicit)):
+            with pytest.raises(ValueError, match="explicit schedules have no tail"):
+                certify()
 
     @pytest.mark.parametrize("budget", [math.inf, math.nan])
     def test_non_finite_budget_refused(self, budget):

@@ -633,6 +633,23 @@ class TestStatistics:
         swapped = sim.dominance_check(upper, lower, band)
         assert not swapped.dominates and swapped.witness is not None
 
+    @pytest.mark.parametrize("n, alpha", [(0, 0.01), (-5, 0.01), (math.nan, 0.01),
+                                          (100, 0.0), (100, 1.0), (100, 2.0), (100, 3.0),
+                                          (100, -0.1), (100, math.nan)])
+    def test_dkw_band_refuses_what_it_cannot_answer(self, n, alpha):
+        # n = 0 and alpha = 0 divided by zero, alpha > 2 failed in log,
+        # and alpha in [1, 2] gave a band of no level (0.0 at alpha = 2)
+        with pytest.raises(ValueError, match="need n > 0 and 0 < alpha < 1"):
+            sim.dkw_band(n, alpha)
+
+    def test_two_sample_critical_refusals(self):
+        for na, nb in ((0, 0), (0, 10), (10, -1)):
+            with pytest.raises(ValueError, match="sample sizes must be positive"):
+                sim.ks_two_sample_critical(na, nb, 0.01)
+        with pytest.raises(ValueError, match="0 < alpha < 1"):
+            sim.ks_two_sample_critical(10, 10, 1.5)
+        assert sim.ks_two_sample_critical(10, 10, 1e-9) == sim.dkw_band(5.0, 1e-9)
+
     def test_self_dominance_with_zero_band(self):
         rng = np.random.default_rng(7)
         d = sim.EmpiricalDistribution.from_values(rng.exponential(1.0, 1000))
