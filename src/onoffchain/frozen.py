@@ -9,15 +9,27 @@ its threshold t_i, every larger index is already 1 - equivalently
 Its threshold half says that t_i is a *right record*.  No assignment
 satisfies this rule at every index.  This module makes that refutation
 executable for candidates described by a finite blocked set plus an
-all-blocked / all-unblocked tail flag: the rule is decided index by index
-with finitely many threshold evaluations (a tail certificate bounds where
-thresholds drop below any epsilon), and a violated index is produced for
-every candidate.
+all-blocked / all-unblocked tail flag.  With the blocked indices
+d1 < d2 < ..., the rule fails at
+
+  - d1 (horizon + 1 when none is blocked) if the tail is blocked;
+  - d1 if the tail is unblocked and two or more indices are blocked;
+  - d if the tail is unblocked, d is the one blocked index and t_d is not
+    a right record;
+  - otherwise at the first right record after d (after 0 when none is
+    blocked).
+
+Each right record is decided with finitely many threshold evaluations (a
+tail certificate bounds where thresholds drop below any epsilon), and both
+sides of the rule are evaluated at the chosen index, so a violated index is
+produced and checked for every candidate.  The index-by-index scan this
+replaces is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -145,9 +157,15 @@ class BlockedCandidate:
         return self.tail_all_blocked
 
     def describe(self) -> str:
-        inside = ",".join(str(i) for i in sorted(self.described)) or "-"
-        tail = "blocked" if self.tail_all_blocked else "unblocked"
-        return f"{{{inside}}}+{tail}>{self.horizon}"
+        texts = _candidate_texts(map(str, sorted(self.described)), self.horizon)
+        return texts[self.tail_all_blocked]
+
+
+def _candidate_texts(labels, horizon: int) -> tuple[str, str]:
+    """``{1,3}+unblocked>4`` and ``{1,3}+blocked>4``, the candidates with the
+    ascending blocked indices labelled "1", "3" within 1..4."""
+    inside = ",".join(labels) or "-"
+    return f"{{{inside}}}+unblocked>{horizon}", f"{{{inside}}}+blocked>{horizon}"
 
 
 @dataclass(frozen=True)
@@ -175,50 +193,81 @@ def _larger_later(seq: ThresholdSequence, i: int) -> int | None:
     return None
 
 
-def _rule_requires_blocked(seq: ThresholdSequence, cand: BlockedCandidate,
-                           i: int) -> tuple[bool, str]:
-    """Evaluate the right-hand side of the rule at index i.
+class _RightRecords(dict):
+    """``_larger_later`` answers keyed by index, computed when first asked."""
 
-    True means the rule forces i to be blocked: every later index is
-    unblocked and t_i is a right record.  The string explains the decision.
+    def __init__(self, seq: ThresholdSequence):
+        super().__init__()
+        self.seq = seq
+
+    def __missing__(self, i: int) -> int | None:
+        j = self[i] = _larger_later(self.seq, i)
+        return j
+
+
+def _decide(seq: ThresholdSequence, later: _RightRecords, blocked: tuple[int, ...],
+            horizon: int, tail_all_blocked: bool) -> tuple[int | None, str]:
+    """Witness and reason for the candidate with ascending blocked indices
+    ``blocked`` within 1..horizon; the witness is None if the rule holds there.
+
+    The witness follows the four cases of the module docstring; both sides
+    of the rule are then evaluated at it.
     """
-    if cand.tail_all_blocked:
-        return False, f"index {max(i, cand.horizon) + 1} and beyond stay blocked"
-    later_blocked = [j for j in cand.described if j > i]
-    if later_blocked:
-        return False, f"index {min(later_blocked)} stays blocked"
-    j = _larger_later(seq, i)
-    if j is not None:
-        return False, f"t_{j} = {seq.value(j)} exceeds t_{i} = {seq.value(i)}"
-    return True, f"every index beyond {i} is unblocked with a smaller threshold"
+    if tail_all_blocked:
+        i = blocked[0] if blocked else horizon + 1
+    else:
+        # the witness needs no right record beyond the horizon, but following
+        # them from horizon + 1 compares every threshold pair that a scan of
+        # the indices up to the first of them compares, so a duplicate is
+        # refused on the same candidates with the same message
+        j = horizon + 1
+        while j is not None:
+            j = later[j]
+        if len(blocked) > 1 or (blocked and later[blocked[0]] is not None):
+            i = blocked[0]
+        else:
+            i = blocked[0] + 1 if blocked else 1
+            while later[i] is not None:
+                i += 1
+    stated = tail_all_blocked if i > horizon else i in blocked
+    if tail_all_blocked:
+        required, why = False, f"index {max(i, horizon) + 1} and beyond stay blocked"
+    elif (k := bisect_right(blocked, i)) < len(blocked):
+        required, why = False, f"index {blocked[k]} stays blocked"
+    elif (j := later[i]) is not None:
+        required, why = False, f"t_{j} = {seq.value(j)} exceeds t_{i} = {seq.value(i)}"
+    else:
+        required, why = True, f"every index beyond {i} is unblocked with a smaller threshold"
+    if stated == required:
+        # unreachable for well-formed threshold sequences; reported rather
+        # than asserted so the exhaustive search can surface a wrong witness
+        return None, "no contradiction found within the decidable horizon"
+    return i, f"index {i} must be {'blocked' if required else 'unblocked'}: {why}"
 
 
 def check_candidate(seq: ThresholdSequence,
                     cand: BlockedCandidate) -> ConsistencyResult:
     """Test a candidate assignment against the blocking rule.
 
-    Scans indices in ascending order up to a horizon that provably contains
-    a violated index for every finitely described candidate (the smallest
-    blocked index for an all-blocked tail; otherwise the first right record
-    beyond ``cand.horizon``, reached along ``_larger_later``) and reports the
-    first mismatch.
+    With the blocked indices d1 < d2 < ... the rule fails at
+
+      - d1, or horizon + 1 when none is blocked, for an all-blocked tail
+        (the rule forces no index with a blocked index after it);
+      - d1 for an unblocked tail with two or more blocked indices (d2 stays
+        blocked);
+      - d for an unblocked tail with the one blocked index d when t_d is not
+        a right record;
+      - otherwise at the first right record after d, or after 0 when none
+        is blocked (the rule forces it, and it is unblocked).
+
+    Both sides of the rule are evaluated at that index, so a wrong witness
+    comes back as a consistent result rather than a silent violation.  Each
+    call has its own memo of right records; the tests keep the
+    index-by-index scan as the oracle.
     """
-    if cand.tail_all_blocked:
-        scan_to = min(cand.described) if cand.described else cand.horizon + 1
-    else:
-        scan_to = cand.horizon + 1
-        while (j := _larger_later(seq, scan_to)) is not None:
-            scan_to = j
-    for i in range(1, scan_to + 1):
-        required, why = _rule_requires_blocked(seq, cand, i)
-        if cand.blocked(i) != required:
-            must = "blocked" if required else "unblocked"
-            return ConsistencyResult(False, witness=i,
-                                     reason=f"index {i} must be {must}: {why}")
-    # unreachable for well-formed threshold sequences; reported rather than
-    # asserted so the exhaustive search can surface an implementation bug
-    return ConsistencyResult(True, reason="no contradiction found within the "
-                                          "decidable horizon")
+    witness, reason = _decide(seq, _RightRecords(seq), tuple(sorted(cand.described)),
+                              cand.horizon, cand.tail_all_blocked)
+    return ConsistencyResult(witness is None, witness=witness, reason=reason)
 
 
 @dataclass(frozen=True)
@@ -237,6 +286,8 @@ class SearchReport:
         yield "candidate,tail,verdict,witness_index,reason"
         for cand, tail, verdict, witness, reason in self.rows:
             w = "" if witness is None else str(witness)
+            if "," in cand:
+                cand = f'"{cand}"'
             clean = reason.replace(",", ";")
             yield f"{cand},{tail},{verdict},{w},{clean}"
 
@@ -244,25 +295,28 @@ class SearchReport:
 def exhaustive_search(seq: ThresholdSequence, max_index: int) -> SearchReport:
     """Run the rule check over every candidate described within 1..max_index.
 
-    2**max_index blocked sets, each with both tail flags.  For a valid
-    threshold sequence every candidate is violated; a consistent candidate
-    would indicate a bug in the checker, not a counterexample.
+    2**max_index blocked sets, each with both tail flags, decided by the
+    witness rule of ``check_candidate`` with one memo of right records for
+    the whole search.  For a valid threshold sequence every candidate is
+    violated; a consistent candidate would indicate a bug in the checker,
+    not a counterexample.
     """
     if not 0 <= max_index <= _MAX_SEARCH_INDEX:
         raise ValueError(f"max_index must lie in 0..{_MAX_SEARCH_INDEX}")
+    later = _RightRecords(seq)
     rows = []
     consistent = []
-    indices = list(range(1, max_index + 1))
+    indices = range(1, max_index + 1)
+    labels = [str(i) for i in indices]
     for size in range(max_index + 1):
-        for combo in combinations(indices, size):
-            for tail_blocked in (False, True):
-                cand = BlockedCandidate(frozenset(combo), max_index, tail_blocked)
-                res = check_candidate(seq, cand)
-                verdict = "consistent" if res.consistent else "violated"
-                rows.append((cand.describe(),
-                             "blocked" if tail_blocked else "unblocked",
-                             verdict, res.witness, res.reason))
-                if res.consistent:
-                    consistent.append(cand)
+        for combo, named in zip(combinations(indices, size), combinations(labels, size)):
+            texts = _candidate_texts(named, max_index)
+            for tail_blocked, tail in ((False, "unblocked"), (True, "blocked")):
+                witness, reason = _decide(seq, later, combo, max_index, tail_blocked)
+                rows.append((texts[tail_blocked], tail,
+                             "consistent" if witness is None else "violated", witness, reason))
+                if witness is None:
+                    consistent.append(BlockedCandidate(frozenset(combo), max_index,
+                                                       tail_blocked))
     return SearchReport(seq.describe(), max_index, len(rows), tuple(rows),
                         tuple(consistent))

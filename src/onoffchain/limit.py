@@ -64,6 +64,7 @@ __all__ = [
 
 
 _TAIL_TERMS = 10_000_000     # terms a log-family tail sum may add
+_TAIL_BLOCK = 1 << 16        # terms a log-family tail sum adds per block
 _NO_TAIL = "explicit schedules have no tail beyond their length"
 
 
@@ -122,8 +123,9 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
     """Rigorous upper bound on ``sum_{j >= start} exp(-rate(j) x)``.
 
     Closed form for linear schedules (geometric); the log families are
-    summed term by term until their integral-comparison remainder falls
-    below ``rel_tol`` of the partial sum.  Returns ``inf`` when the sum
+    summed in index order, in numpy blocks of terms each raised for
+    rounding, until their integral-comparison remainder falls below
+    ``rel_tol`` of the partial sum.  Returns ``inf`` when the sum
     diverges (or cannot be dominated), which downstream bounds treat as the
     trivial bound.  Raises ``TailSumError`` when ``_TAIL_TERMS`` terms do
     not get there, at once when the remainder after them is already too
@@ -146,8 +148,8 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
         return math.nextafter(tail * (1.0 + (arg + 5.0) * 2.0 ** -52), math.inf)
     if fam == EXPLICIT:
         raise TailSumError(f"{_NO_TAIL}; tail sums need a parametric family")
-    # remainder(j) bounds sum_{k >= j} exp(-rate(k) x), or is inf where no
-    # bound is known yet
+    # remainder(j) bounds sum_{k >= j} exp(-rate(k) x) for an array of
+    # indices j, or is inf where no bound is known yet
     if fam == LOG_FAMILY:
         # terms <= u^(-x/theta0) for u >= 3; need the exponent > 1 to dominate
         p = x / rates.theta0
@@ -155,30 +157,66 @@ def exp_tail_sum(rates: RateSchedule, x: float, start: int,
             return math.inf
 
         def remainder(j):
-            # integral_{j-1}^inf u^-p du, valid once j-1 >= 3
-            return (j - 1) ** (1.0 - p) / (p - 1.0) if j - 1 >= 4 else math.inf
+            # integral_{j-1}^inf u^-p du, valid once j-1 >= 3; np.where
+            # evaluates both branches, so the power is kept finite
+            return np.where(j - 1 >= 4, np.maximum(j - 1, 4) ** (1.0 - p) / (p - 1.0),
+                            math.inf)
     else:
         def remainder(j):
             # logsquare: exp(-x log^2(u+1)) <= (u+1)^(-x log j) for u >= j-1
-            p = x * math.log(j)
-            return j ** (1.0 - p) / (p - 1.0) if p > 1.0 else math.inf
-    # The remainder decreases in j once it is finite, and every partial sum
-    # is at most total + rest of any step.  So once the remainder at the
-    # last step exceeds rel_tol times that, the loop cannot stop in time;
-    # the factor 1 + 2^-20 covers the rounding of 10^7 additions.
-    stop = start + _TAIL_TERMS + 1      # the last j the loop tries
-    last = remainder(stop)
+            p = x * np.log(j)
+            q = np.where(p > 1.0, p, 2.0)
+            return np.where(p > 1.0, j ** (1.0 - q) / (q - 1.0), math.inf)
+    # The terms are summed in blocks, in index order, the running total
+    # continued by cumsum, and the sum stops at the first j whose remainder
+    # is within rel_tol of the partial sum.  The remainder decreases in j
+    # once it is finite, and every partial sum is at most total + rest of
+    # any step.  So once the remainder at the last step exceeds rel_tol
+    # times that, the sum cannot stop in time; the factor 1 + 2^-20 covers
+    # the rounding of 10^7 additions.
+    stop = start + _TAIL_TERMS + 1      # the last j the sum tries
+    last = float(remainder(np.float64(stop)))
     margin = rel_tol * (1.0 + 2.0 ** -20)
     total = 0.0
-    j = start
+    lo, size = start, 8
     while True:
-        total += math.exp(-rates.rate(j) * x)
-        j += 1
-        rest = remainder(j)
-        if rest <= rel_tol * max(total, 1e-300):
-            return total + rest
-        if j == stop or last >= margin * max(total + rest, 1e-300):
-            raise TailSumError("tail sum did not stabilize")
+        hi = min(lo + size, stop)
+        # totals[n] sums the terms lo..lo+n, so the next j is lo + n + 1
+        totals = np.cumsum(np.concatenate(([total], _tail_terms(rates, x, lo, hi))))[1:]
+        rests = remainder(np.arange(lo + 1, hi + 1, dtype=np.float64))
+        done = rests <= rel_tol * np.maximum(totals, 1e-300)
+        hopeless = last >= margin * np.maximum(totals + rests, 1e-300)
+        hopeless[-1] |= hi == stop
+        ends = np.flatnonzero(done | hopeless)
+        if ends.size:
+            n = ends[0]
+            if not done[n]:
+                raise TailSumError("tail sum did not stabilize")
+            # numpy's power is within an ulp of the exact remainder
+            return float(totals[n] + np.nextafter(rests[n], math.inf))
+        total = totals[-1]
+        lo, size = hi, min(2 * size, _TAIL_BLOCK)
+
+
+def _tail_terms(rates: RateSchedule, x: float, lo: int, hi: int) -> np.ndarray:
+    """exp(-rate(j) x) for j = lo..hi-1 of a log family, each raised by
+    16 (x (rate(j) + alpha) + 1) ulps.
+
+    numpy's log and exp, like math's, are within an ulp of the exact values;
+    the rate's logs carry into the exponent x rate(j) up to a few ulps of
+    x (rate(j) + alpha), which exp turns into the same relative error.  So
+    every raised term bounds from above both the exact term and the one
+    ``RateSchedule.rate`` and ``math.exp`` give.
+    """
+    j = np.arange(lo, hi, dtype=np.float64)
+    if rates.family == LOG_FAMILY:
+        # RateSchedule.rate: clamped at index 3 so log(log(j)) stays positive
+        lj = np.log(np.maximum(j, 3.0))
+        rate = lj / rates.theta0 + rates.alpha * np.log(lj)
+    else:
+        rate = np.log(j + 1.0) ** 2
+    arg = rate * x
+    return np.exp(-arg) * (1.0 + (arg + rates.alpha * x + 1.0) * 2.0 ** -48)
 
 
 # ---------------------------------------------------------------------------

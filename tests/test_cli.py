@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 
@@ -194,6 +195,19 @@ class TestCommands:
         rows = [l for l in out.splitlines() if not l.startswith("#")]
         assert len(rows) == 2 ** 5 + 1
         assert all(",violated," in r for r in rows[1:])
+
+    def test_frozen_rows_parse_as_five_fields(self, capsys):
+        # a candidate with two or more blocked indices holds commas
+        code, out, _ = run_cli(
+            ["frozen", "--instance", "geometric:0.5", "--max", "6"], capsys)
+        assert code == 0
+        rows = list(csv.reader(l for l in out.splitlines() if not l.startswith("#")))
+        report = frozen.exhaustive_search(frozen.ThresholdSequence.geometric(0.5), 6)
+        assert rows[0] == ["candidate", "tail", "verdict", "witness_index", "reason"]
+        assert len(rows) == report.total + 1
+        assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == [r[0] for r in report.rows]
+        assert any("," in row[0] for row in rows[1:])
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "log.csv"

@@ -105,8 +105,9 @@ class TestExhaustiveSearch:
 
 
 # ---------------------------------------------------------------------------
-# Differential oracle: the refuter as it stood with two threshold scans, one
-# for the rule's right-hand side and one for the scan horizon
+# Differential oracles: the refuter as it stood with two threshold scans, one
+# for the rule's right-hand side and one for the scan horizon, and as it
+# stood with one right-record scan, deciding the rule index by index
 # ---------------------------------------------------------------------------
 
 def _first_tail_record(seq, after):
@@ -164,6 +165,90 @@ def _two_scan_check(seq, cand):
                                                  "decidable horizon")
 
 
+def _one_scan_rule(seq, cand, i):
+    if cand.tail_all_blocked:
+        return False, f"index {max(i, cand.horizon) + 1} and beyond stay blocked"
+    later_blocked = [j for j in cand.described if j > i]
+    if later_blocked:
+        return False, f"index {min(later_blocked)} stays blocked"
+    j = frozen._larger_later(seq, i)
+    if j is not None:
+        return False, f"t_{j} = {seq.value(j)} exceeds t_{i} = {seq.value(i)}"
+    return True, f"every index beyond {i} is unblocked with a smaller threshold"
+
+
+def _one_scan_check(seq, cand):
+    """The refuter as it stood with one right-record scan: the rule decided
+    index by index up to the first right record beyond the horizon."""
+    if cand.tail_all_blocked:
+        scan_to = min(cand.described) if cand.described else cand.horizon + 1
+    else:
+        scan_to = cand.horizon + 1
+        while (j := frozen._larger_later(seq, scan_to)) is not None:
+            scan_to = j
+    for i in range(1, scan_to + 1):
+        required, why = _one_scan_rule(seq, cand, i)
+        if cand.blocked(i) != required:
+            must = "blocked" if required else "unblocked"
+            return frozen.ConsistencyResult(False, witness=i,
+                                            reason=f"index {i} must be {must}: {why}")
+    return frozen.ConsistencyResult(True, reason="no contradiction found within the "
+                                                 "decidable horizon")
+
+
+def _candidates(m):
+    """Every candidate of the search at horizon m, in its order."""
+    for size in range(m + 1):
+        for combo in combinations(range(1, m + 1), size):
+            for tail_blocked in (False, True):
+                yield candidate(combo, m, tail_blocked)
+
+
+def _search_with(check, seq, m):
+    """The search report built one candidate object at a time with ``check``."""
+    rows, consistent = [], []
+    for cand in _candidates(m):
+        res = check(seq, cand)
+        inside = ",".join(str(i) for i in sorted(cand.described)) or "-"
+        tail = "blocked" if cand.tail_all_blocked else "unblocked"
+        rows.append((f"{{{inside}}}+{tail}>{m}", tail,
+                     "consistent" if res.consistent else "violated", res.witness, res.reason))
+        if res.consistent:
+            consistent.append(cand)
+    return frozen.SearchReport(seq.describe(), m, len(rows), tuple(rows), tuple(consistent))
+
+
+def _right_record_queries(monkeypatch, check, seq, cand):
+    """The indices ``check(seq, cand)`` passes to ``_larger_later``, in order,
+    with its result, or the message of the duplicate it meets."""
+    asked = []
+    scan = frozen._larger_later
+
+    def recording(seq, i):
+        asked.append(i)
+        return scan(seq, i)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(frozen, "_larger_later", recording)
+        try:
+            outcome = check(seq, cand)
+        except frozen.DuplicateThresholdError as exc:
+            outcome = str(exc)
+    return asked, outcome
+
+
+def _assert_scan_queries(monkeypatch, seq, cand):
+    """``check_candidate`` asks ``_larger_later`` for the indices the index
+    scan asks for, once each, in the order of the scan's first queries, and
+    ends the same way; returns the indices asked."""
+    asked, got = _right_record_queries(monkeypatch, frozen.check_candidate, seq, cand)
+    scan_asked, want = _right_record_queries(monkeypatch, _one_scan_check, seq, cand)
+    # the scan asks for some indices twice, comparing the same thresholds again
+    assert asked == list(dict.fromkeys(scan_asked))
+    assert got == want
+    return asked
+
+
 CORPUS = {
     "geometric:0.5": GEO,
     "geometric:0.9": frozen.ThresholdSequence.geometric(0.9),
@@ -175,64 +260,76 @@ CORPUS = {
         [0.2, 0.05, 0.4, 0.3], frozen.ThresholdSequence.geometric(0.8)),
 }
 
+DUPLICATE_PREFIXES = [
+    ([0.25], GEO, True), ([0.5, 0.1], GEO, False), ([0.3, 0.5, 0.0625], GEO, True),
+    ([0.2, 0.9, 0.2], HARM, True),
+    ([0.05, 0.3], HARM, False)]    # t_1 == t_19, but no scan compares them
+
 
 class TestOneRightRecordScan:
     @pytest.mark.parametrize("seq", list(CORPUS.values()), ids=list(CORPUS))
-    def test_search_rows_equal_the_two_scan_refuter(self, monkeypatch, seq):
-        for m in range(11):
-            got = frozen.exhaustive_search(seq, m)
-            with monkeypatch.context() as patch:
-                patch.setattr(frozen, "check_candidate", _two_scan_check)
-                want = frozen.exhaustive_search(seq, m)
-            assert got == want
+    def test_search_rows_equal_the_two_scan_refuter(self, seq):
+        for m in range(13):
+            want = _search_with(_one_scan_check, seq, m)
+            assert want == _search_with(_two_scan_check, seq, m)
+            assert frozen.exhaustive_search(seq, m) == want
 
     @pytest.mark.parametrize("seq", list(CORPUS.values()), ids=list(CORPUS))
     def test_scan_horizon_is_the_first_tail_record(self, monkeypatch, seq):
-        # with a rule that agrees with every candidate, check_candidate scans
-        # its whole horizon: the first right record beyond cand.horizon
-        scanned = []
+        # check_candidate asks _larger_later for the same indices, in the
+        # same order, as the index scan; an unblocked tail opens with the
+        # scan horizon, the right records from m + 1 to the first tail record
+        for m in range(7):
+            chain = [m + 1]
+            while (j := frozen._larger_later(seq, chain[-1])) is not None:
+                chain.append(j)
+            assert chain[-1] == _first_tail_record(seq, m)
+            for cand in _candidates(m):
+                asked = _assert_scan_queries(monkeypatch, seq, cand)
+                assert asked[:len(chain)] == ([] if cand.tail_all_blocked else chain)
 
-        def agreeing(seq, cand, i):
-            scanned.append(i)
-            return cand.blocked(i), ""
-
-        for m in range(11):
-            # the first right record beyond m, by its definition
-            first = next(i for i in range(m + 1, m + 100)
-                         if frozen._larger_later(seq, i) is None)
-            assert first == _first_tail_record(seq, m)
-            # the described set does not move the horizon
-            for cand in (candidate([], m), candidate(range(1, m + 1), m)):
-                scanned.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(frozen, "_rule_requires_blocked", agreeing)
-                    assert frozen.check_candidate(seq, cand).consistent
-                assert scanned == list(range(1, first + 1))
-
-    @pytest.mark.parametrize("prefix, tail, meets_duplicate", [
-        ([0.25], GEO, True), ([0.5, 0.1], GEO, False), ([0.3, 0.5, 0.0625], GEO, True),
-        ([0.2, 0.9, 0.2], HARM, True),
-        ([0.05, 0.3], HARM, False)])    # t_1 == t_19, but no scan compares them
-    def test_duplicates_refused_on_the_same_inputs(self, prefix, tail, meets_duplicate):
+    @pytest.mark.parametrize("prefix, tail, meets_duplicate", DUPLICATE_PREFIXES)
+    def test_duplicates_refused_on_the_same_inputs(self, monkeypatch, prefix, tail,
+                                                   meets_duplicate):
         seq = frozen.ThresholdSequence.with_prefix(prefix, tail)
         met = False
         for m in range(5):
-            for size in range(m + 1):
-                for combo in combinations(range(1, m + 1), size):
-                    for tail_blocked in (False, True):
-                        cand = candidate(combo, m, tail_blocked)
-                        outcomes = []
-                        for check in (frozen.check_candidate, _two_scan_check):
-                            try:
-                                outcomes.append(check(seq, cand))
-                            except frozen.DuplicateThresholdError as exc:
-                                pair = [int(x) for x in re.findall(r"t_(\d+)", str(exc))]
-                                outcomes.append(sorted(pair))
-                                if check is frozen.check_candidate:
-                                    assert pair == sorted(pair)
-                        assert outcomes[0] == outcomes[1]
-                        met |= isinstance(outcomes[0], list)
+            for cand in _candidates(m):
+                outcomes = []
+                for check in (frozen.check_candidate, _two_scan_check):
+                    try:
+                        outcomes.append(check(seq, cand))
+                    except frozen.DuplicateThresholdError as exc:
+                        pair = [int(x) for x in re.findall(r"t_(\d+)", str(exc))]
+                        outcomes.append(sorted(pair))
+                        if check is frozen.check_candidate:
+                            assert pair == sorted(pair)
+                assert outcomes[0] == outcomes[1]
+                met |= isinstance(outcomes[0], list)
+                # the same right-record queries as the index scan, up to
+                # the one that meets the duplicate
+                _assert_scan_queries(monkeypatch, seq, cand)
         assert met == meets_duplicate
+
+    @pytest.mark.parametrize("prefix, tail, meets_duplicate", DUPLICATE_PREFIXES)
+    def test_search_memo_refuses_duplicates_like_the_scan(self, prefix, tail,
+                                                          meets_duplicate):
+        # one memo of right records for the whole search: it raises on the
+        # same searches, with the same message, as a search that checks each
+        # candidate afresh
+        seq = frozen.ThresholdSequence.with_prefix(prefix, tail)
+        raised = False
+        for m in range(5):
+            try:
+                want = _search_with(_one_scan_check, seq, m)
+            except frozen.DuplicateThresholdError as exc:
+                raised = True
+                with pytest.raises(frozen.DuplicateThresholdError) as got:
+                    frozen.exhaustive_search(seq, m)
+                assert str(got.value) == str(exc)
+            else:
+                assert frozen.exhaustive_search(seq, m) == want
+        assert raised == meets_duplicate
 
     def test_duplicate_message_names_the_earlier_index_first(self):
         # the two-scan horizon named this pair "t_2 == t_1"

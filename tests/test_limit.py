@@ -11,6 +11,35 @@ from onoffchain import core, limit, sim
 LINEAR = core.RateSchedule.linear(1.0)
 
 
+def _term_loop_tail_sum(rates, x, start, rel_tol=1e-3):
+    """The log-family tail sum as it stood with one Python term at a time:
+    ``exp_tail_sum`` without its numpy blocks and their widening."""
+    if rates.family == core.LOG_FAMILY:
+        p = x / rates.theta0
+        if p <= 1.0:
+            return math.inf
+
+        def remainder(j):
+            return (j - 1) ** (1.0 - p) / (p - 1.0) if j - 1 >= 4 else math.inf
+    else:
+        def remainder(j):
+            p = x * math.log(j)
+            return j ** (1.0 - p) / (p - 1.0) if p > 1.0 else math.inf
+    stop = start + limit._TAIL_TERMS + 1
+    last = remainder(stop)
+    margin = rel_tol * (1.0 + 2.0 ** -20)
+    total = 0.0
+    j = start
+    while True:
+        total += math.exp(-rates.rate(j) * x)
+        j += 1
+        rest = remainder(j)
+        if rest <= rel_tol * max(total, 1e-300):
+            return total + rest
+        if j == stop or last >= margin * max(total + rest, 1e-300):
+            raise limit.TailSumError("tail sum did not stabilize")
+
+
 class TestClassification:
     @pytest.mark.parametrize("sched,case,theta", [
         (core.RateSchedule.constant(1.0), 1, math.inf),
@@ -73,6 +102,29 @@ class TestTailSums:
         brute = sum(math.exp(-sched.rate(k) * 0.8) for k in range(1, 200000))
         assert brute <= got <= brute * 1.01
 
+    @pytest.mark.parametrize("sched, x, start, rel_tol", [
+        (core.RateSchedule.log_family(1.0, 0.0), 3.0, 2, 1e-3),
+        (core.RateSchedule.log_square(), 0.8, 1, 1e-3),
+        (core.RateSchedule.log_family(1.0, 0.0), 1.5, 1, 1e-2),
+        (core.RateSchedule.log_family(1.0, 0.0), 2.0068735251979253, 2, 5e-4),
+        (core.RateSchedule.log_family(0.5, 1.0), 1.0, 3, 1e-4),
+        (core.RateSchedule.log_family(1.0, 2.0), 1.2, 5, 1e-3),
+        (core.RateSchedule.log_family(1.0, 0.0), 1.1, 1, 1e-3),
+        (core.RateSchedule.log_family(1.0, 0.0), 0.9, 1, 1e-3),
+        (core.RateSchedule.log_square(), 3.0, 10, 1e-6),
+        (core.RateSchedule.log_square(), 0.05, 1, 1e-3)])
+    def test_blocks_bound_the_term_loop(self, sched, x, start, rel_tol):
+        # the numpy blocks stop where the term loop stops, or refuse where it
+        # refuses, and their widened terms keep the sum at or above its sum
+        try:
+            want = _term_loop_tail_sum(sched, x, start, rel_tol)
+        except limit.TailSumError:
+            with pytest.raises(limit.TailSumError, match="tail sum did not stabilize"):
+                limit.exp_tail_sum(sched, x, start, rel_tol)
+            return
+        got = limit.exp_tail_sum(sched, x, start, rel_tol)
+        assert want <= got <= want * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("sched, x", [(core.RateSchedule.log_family(1.0, 0.0), 1.1),
                                           (core.RateSchedule.log_square(), 0.05)],
                              ids=["remainder-too-large", "remainder-never-finite"])
@@ -81,18 +133,21 @@ class TestTailSums:
         # above 1e-3 of any partial sum; at x = 0.05 the log-square remainder
         # stays infinite past 10^7 terms.  Both once summed all 10^7 terms.
         terms = []
-        rate = core.RateSchedule.rate
-        monkeypatch.setattr(core.RateSchedule, "rate",
-                            lambda self, k: terms.append(k) or rate(self, k))
+        block = limit._tail_terms
+        monkeypatch.setattr(limit, "_tail_terms",
+                            lambda rates, x, lo, hi: terms.extend(range(lo, hi))
+                            or block(rates, x, lo, hi))
         with pytest.raises(limit.TailSumError, match="tail sum did not stabilize"):
             limit.exp_tail_sum(sched, x, 1)
-        assert len(terms) < 10
+        assert 0 < len(terms) < 10
 
     def test_certificate_past_refused_tail_sums(self):
         # the search meets windows whose tail sums cannot settle; refusing
-        # them at once leaves the certificate as it was
+        # them at once leaves the certificate as it was.  Summed one term at
+        # a time in math, without widening, it was (2.0068735251979253,
+        # 0.4999999999999999); the widened terms end the bisection 21 ulps up
         cert = limit.dense_signal_certificate(core.RateSchedule.log_family(1.0, 0.0), 2, 2.4)
-        assert (cert.tau, cert.tail_sum) == (2.0068735251979253, 0.4999999999999999)
+        assert (cert.tau, cert.tail_sum) == (2.0068735251979346, 0.4999999999999997)
 
     def test_explicit_has_no_tail(self):
         with pytest.raises(limit.TailSumError):
