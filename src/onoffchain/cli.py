@@ -143,7 +143,8 @@ def build_parser() -> _Parser:
     s.add_argument("--rates", required=True)
     s.add_argument("--input", required=True)
     s.add_argument("--nodes", default=None, help="lo:hi (default 1:len for explicit)")
-    s.add_argument("--stop", default="horizon:10")
+    s.add_argument("--stop", default=None,
+                   help="stop rule of a single run (default horizon:10)")
     s.add_argument("--reps", type=int, default=1,
                    help="replications; >1 emits a first-reception sample")
     s.add_argument("--node", type=int, default=None,
@@ -229,23 +230,29 @@ def _cmd_simulate(args) -> int:
     model = parse_input(args.input)
     lo, hi = _node_range(args, rates)
     cfg = core.SystemConfig(lo, hi, rates, model)
-    header = [f"command: simulate --rates {args.rates} --input {args.input} "
-              f"--nodes {lo}:{hi} --stop {args.stop} --reps {args.reps}"]
+    command = f"command: simulate --rates {args.rates} --input {args.input} --nodes {lo}:{hi}"
     if args.reps == 1:
-        stop = parse_stop(args.stop)
+        if args.node is not None:
+            raise ValueError("--node applies only to --reps > 1")
+        stop_text = "horizon:10" if args.stop is None else args.stop
+        stop = parse_stop(stop_text)
         if stop.kind == sim.HORIZON:
             try:
                 sim.check_horizon(cfg, stop.time)
             except ValueError as exc:
-                raise UsageError(f"bad stop spec {args.stop!r}: {exc}") from exc
+                raise UsageError(f"bad stop spec {stop_text!r}: {exc}") from exc
         log = sim.simulate(cfg, sim.RandomnessPlan(args.seed, 0), stop)
         lines = ["kind,time,node_lo,node_hi"]
         lines.extend(log.csv_lines())
-        _emit(args, header, lines)
+        _emit(args, [f"{command} --stop {stop_text} --reps 1"], lines)
     else:
+        if args.stop is not None:
+            raise ValueError("--stop applies only to a single run; --reps > 1 samples "
+                             "the first reception at --node")
         node = args.node if args.node is not None else lo
         dist = sim.sample_first_reception(cfg, node, args.reps, args.seed)
-        header.append(f"observable: first reception at node {node}, one value per line")
+        header = [f"{command} --reps {args.reps} --node {node}",
+                  f"observable: first reception at node {node}, one value per line"]
         _emit(args, header, dist.export_lines())
     return 0
 

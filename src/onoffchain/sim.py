@@ -25,12 +25,17 @@ to a whole window of signals.  The realized streams, and the order of the
 events within an instant, are those of an event-by-event loop, which the
 tests keep as the oracle.
 
-``sample_first_reception`` runs replications in lockstep, reception by
-reception.  It draws block 0 of all their streams at once, by a numpy Philox
-that matches the scalar draw bit for bit, and each later block when a stream
-reaches it, carrying the running sum on as ``simulate`` does, so both give
-the same floats.  A replication that would need a block past a fixed budget
-is rerun by the engine of ``simulate``, which then builds no log.
+``sample_first_reception`` runs replications in one lockstep batch,
+reception by reception.  Replications join it in groups whenever half of it
+has ended, so it never runs out a chunk's slowest replications alone.  It
+draws block 0 of a group's streams at once, by a numpy Philox that matches
+the scalar draw bit for bit, and each later block when a stream reaches it,
+carrying the running sum on as ``simulate`` does, so both give the same
+floats; the streams are keyed, so a replication's floats do not depend on
+when it joined.  A stream holds only the block it is reading, and the rows
+of finished blocks and replications are reused.  A replication that would
+need a block past a fixed budget is rerun by the engine of ``simulate``,
+which then builds no log.
 """
 
 from __future__ import annotations
@@ -97,12 +102,19 @@ def _machinery():
 
 
 def _draw_block(key0: int, key1: int, block: int, size: int) -> np.ndarray:
+    return _draw_blocks(key0, (key1,), block, np.empty((1, size)))[0]
+
+
+def _draw_blocks(key0: int, key1s, block: int, out: np.ndarray) -> np.ndarray:
+    """Row i of ``out`` becomes block ``block`` of the stream (key0, key1s[i])."""
     bitgen, gen, state, key, counter = _machinery()
     key[0] = key0
-    key[1] = key1
     counter[2] = block
-    bitgen.state = state
-    return gen.random(size)
+    for row, key1 in zip(out, key1s):
+        key[1] = key1
+        bitgen.state = state
+        gen.random(out=row)
+    return out
 
 
 _FIRST_BLOCK = 16
@@ -123,13 +135,20 @@ _SH32 = np.uint64(32)
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * m, from 32-bit halves."""
-    a_lo, a_hi = a & _LO32, a >> _SH32
+    """High and low words of the 128-bit products a * m, from 32-bit halves.
+
+    No partial sum below overflows 64 bits, and the high word takes no carry
+    from the low one.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    lh = a_lo * m_hi
-    hl = a_hi * m_lo
-    mid = ((a_lo * m_lo) >> _SH32) + (lh & _LO32) + (hl & _LO32)
-    hi = a_hi * m_hi + (lh >> _SH32) + (hl >> _SH32) + (mid >> _SH32)
+    a_lo, a_hi = a & _LO32, a >> _SH32
+    t = (a_lo * m_lo) >> _SH32
+    t += a_lo * m_hi
+    u = t & _LO32
+    u += a_hi * m_lo
+    hi = a_hi * m_hi
+    hi += t >> _SH32
+    hi += u >> _SH32
     return hi, a * np.uint64(m)
 
 
@@ -139,16 +158,16 @@ def _philox_uniforms(key0, key1, block: int, size: int) -> np.ndarray:
     numpy's Philox steps its counter before each call of the round function,
     so the j-th call (j = 1, 2, ...) of block b encrypts the counter
     (j, 0, b, 0) and yields four 64-bit words in order; ``Generator.random``
-    maps each word w to ``(w >> 11) * 2**-53``.  Keys broadcast.
+    maps each word w to ``(w >> 11) * 2**-53``.  Keys broadcast.  The counter
+    words start as one row and the keys as one column, so the first two
+    rounds, whose words depend on few of them, run on small arrays.
     """
-    k0, k1 = np.broadcast_arrays(np.asarray(key0, dtype=np.uint64),
-                                 np.asarray(key1, dtype=np.uint64))
-    k0 = k0.reshape(-1, 1)
-    k1 = k1.reshape(-1, 1)
+    k0 = np.asarray(key0, dtype=np.uint64).reshape(-1, 1)
+    k1 = np.asarray(key1, dtype=np.uint64).reshape(-1, 1)
     calls = -(-size // 4)
-    c0 = np.broadcast_to(np.arange(1, calls + 1, dtype=np.uint64), (len(k0), calls))
-    c1 = c3 = np.zeros_like(c0)
-    c2 = np.full_like(c0, block)
+    c0 = np.arange(1, calls + 1, dtype=np.uint64).reshape(1, calls)
+    c1 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    c2 = np.full((1, 1), block, dtype=np.uint64)
     for r in range(10):
         if r:
             k0 = k0 + np.uint64(_PHILOX_W[0])
@@ -156,7 +175,8 @@ def _philox_uniforms(key0, key1, block: int, size: int) -> np.ndarray:
         hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k0), 4 * calls)[:, :size]
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    words = words.reshape(-1, 4 * calls)[:, :size]
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
@@ -555,9 +575,16 @@ def ks_two_sample_critical(na: int, nb: int, alpha: float) -> float:
 
 
 def ks_one_sample(dist: EmpiricalDistribution, cdf) -> float:
-    """Sup distance between the empirical CDF and a reference CDF callable."""
+    """Sup distance between the empirical CDF and a reference CDF callable.
+    Refuses a CDF whose values at the samples are not one number in [0, 1]
+    per sample (a NaN would compare below every critical value)."""
     n = dist.count
     f = np.asarray(cdf(dist.samples), dtype=np.float64)
+    if f.shape != dist.samples.shape:
+        raise ValueError(f"reference CDF gave shape {f.shape} for {n} samples")
+    inside = (f >= 0.0) & (f <= 1.0)
+    if not inside.all():
+        raise ValueError(f"reference CDF values must lie in [0, 1], got {float(f[~inside][0])!r}")
     hi = np.arange(1, n + 1) / n - f
     lo = f - np.arange(0, n) / n
     return float(max(np.max(hi), np.max(lo)))
@@ -590,8 +617,8 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
     should sit above.  Dominates iff cdf_lower(x) >= cdf_upper(x) - band for
     every x; otherwise the worst witness point is reported.
     """
-    if band < 0:
-        raise ValueError("band must be >= 0")
+    if not band >= 0:      # a NaN band would pass every point
+        raise ValueError(f"band must be >= 0, got {band!r}")
     xs = np.unique(np.concatenate([lower.samples, upper.samples]))
     fl = lower.cdf(xs)
     fu = upper.cdf(xs)
@@ -606,10 +633,11 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 # Monte Carlo harnesses
 # ---------------------------------------------------------------------------
 
-# The batched kernel runs replications in chunks that draw about
-# _CHUNK_POINTS stream points each.  It draws block 0 of their streams
-# _PHILOX_SLICE streams at a time and each later block, up to block
-# _LAST_BLOCK, when a stream needs it.
+# The batched kernel runs one batch of replications whose streams hold about
+# _CHUNK_POINTS live points: a stream keeps only the row of the block it is
+# reading, and released rows are reused.  Whenever half the batch has ended
+# it admits a group, drawing their block 0 _PHILOX_SLICE streams at a time;
+# each later block, up to block _LAST_BLOCK, is drawn when a stream needs it.
 _CHUNK_POINTS = 2 ** 17
 _PHILOX_SLICE = 2 ** 10
 _LAST_BLOCK = 4
@@ -621,9 +649,18 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
 
     Replication r is ``simulate(config, RandomnessPlan(seed, r),
     StopRule.first_reception_at(node)).horizon``, bit for bit; the samples
-    come back sorted.  Replications run in lockstep and draw the blocks of
-    their streams as they reach them; one that needs a block past block
-    ``_LAST_BLOCK`` of any stream is rerun by the engine of ``simulate``
+    come back sorted.
+
+    Between two receptions a chain only recovers, so one step moves every
+    running replication to its next reception: the last node's recovery
+    under permanent input, otherwise the first input at or after it (a
+    recovery wins a tie, as in ``simulate``).  The nodes recovered by then
+    are on, the maximal all-on suffix switches off, and each swept node waits
+    for the first point of its stream after the reception.  Replications run
+    in one lockstep batch, and new ones join it whenever half of it has
+    ended; the streams are keyed, so a replication's points do not depend on
+    when it joins.  A replication that would read past block ``_LAST_BLOCK``
+    of a stream before it ends is rerun by the engine of ``simulate``
     (``_reception_times``), which builds no log.
     """
     if not 1 <= reps <= 2 ** 32:
@@ -631,94 +668,106 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
     stop = StopRule.first_reception_at(node)
     _check_stop(config, stop)
     RandomnessPlan(seed).recovery_key(config.right_node)   # seed and slots in range
-    out = np.empty(reps, dtype=np.float64)
-    # the first chunk guesses 64 points per stream; each later one is sized
-    # by the points the chunk before it drew per replication
-    start, step = 0, max(1, _CHUNK_POINTS // (4 * _FIRST_BLOCK * config.n_nodes))
-    while start < reps:
-        end = min(reps, start + step)
-        drawn = _first_reception_chunk(config, stop, seed, range(start, end), out)
-        step = max(1, _CHUNK_POINTS * (end - start) // drawn)
-        start = end
-    return EmpiricalDistribution.from_values(out)
-
-
-def _first_reception_chunk(config: SystemConfig, stop: StopRule, seed: int,
-                           reps: range, out: np.ndarray) -> int:
-    """Write the horizons of replications ``reps`` into ``out``; return the
-    number of stream points drawn.
-
-    Between two receptions a chain only recovers, so one step moves every
-    running replication to its next reception: the last node's recovery
-    under permanent input, otherwise the first input at or after it (a
-    recovery wins a tie, as in ``simulate``).  The nodes recovered by then
-    are on, the maximal all-on suffix switches off, and each swept node waits
-    for the first point of its stream after the reception.  A replication
-    that would read past block ``_LAST_BLOCK`` of a stream before it ends is
-    rerun by ``_reception_times``.
-    """
     n, lo = config.n_nodes, config.left_node
-    key1 = np.arange(reps.start, reps.stop, dtype=np.uint64) << _SH32
+    left = stop.node - lo
     slots = np.arange(lo + 1, lo + n + 1, dtype=np.uint64)
-    rates = np.tile(np.array(config.node_rates()), len(reps))
-    recs = _StreamBatch(seed, (key1[:, None] | slots).ravel(),
-                        lambda u, s: _exp_gaps(u, rates[s, None]))
+    rates = np.array(config.node_rates())
+    # stream r * n + j of the batch is node lo + j of its row r
+    recs = _StreamBatch(seed, lambda u, s: _exp_gaps(u, rates[s % n, None]))
     ins = None
     if not config.input.is_permanent:
-        ins = _StreamBatch(seed, key1, lambda u, s: config.input.quantile(u))
-    # rec[r, j]: when node lo + j last turned or next turns on; on at t iff rec <= t
-    cells = np.arange(len(reps) * n)
-    rec = recs.after(cells, np.zeros(len(cells)), np.less_equal).reshape(len(reps), n)
-    rows = np.arange(len(reps))
-    left = stop.node - lo
-    spill = np.isnan(rec).any(axis=1)
-    rerun = [rows[spill]]
-    rows, rec = rows[~spill], rec[~spill]
-    while len(rows):
+        ins = _StreamBatch(seed, lambda u, s: config.input.quantile(u))
+    out = np.empty(reps, dtype=np.float64)
+    # rep[r]: the replication in row r; rec[r, j]: when its node lo + j last
+    # turned or next turns on, so the node is on at t iff rec <= t
+    rep, rec = np.empty(0, dtype=np.int64), np.empty((0, n))
+    rerun, admitted, peak = [], 0, 0
+    # the first group guesses 64 points per stream; each later admission
+    # rescales the batch by the budget over the most live points it held
+    # since the admission before
+    size = max(1, _CHUNK_POINTS // (4 * _FIRST_BLOCK * n))
+    while len(rep) or admitted < reps:
+        if admitted < reps and len(rep) <= size // 2:
+            if peak:
+                size, peak = max(1, size * _CHUNK_POINTS // peak), 0
+            new = np.arange(admitted, min(reps, admitted + size - len(rep)))
+            admitted += len(new)
+            key1 = new.astype(np.uint64) << _SH32
+            cells = recs.admit((key1[:, None] | slots).ravel())
+            if ins is not None:
+                ins.admit(key1)
+            first = recs.after(cells, np.zeros(len(cells)), np.less_equal)
+            rep, rec = np.concatenate((rep, new)), np.concatenate((rec, first.reshape(-1, n)))
+        rows = np.arange(len(rep))
         t = rec[:, -1].copy()
         if ins is not None:
             # inputs before the last node recovers are blocked
             t = ins.after(rows, t, np.less)
-        spill = np.isnan(t)
         swept = np.logical_and.accumulate(rec[:, ::-1] <= t[:, None], axis=1)[:, ::-1]
         done = swept[:, left]
-        out[reps.start + rows[done]] = t[done]
+        out[rep[done]] = t[done]
         r, k = np.nonzero(swept & ~done[:, None])
-        rec[r, k] = nxt = recs.after(rows[r] * n + k, t[r], np.less_equal)
-        spill[r[np.isnan(nxt)]] = True
-        rerun.append(rows[spill])
+        rec[r, k] = recs.after(r * n + k, t[r], np.less_equal)
+        peak = max(peak, recs.points + (0 if ins is None else ins.points))
+        # a stream that ran out leaves NaN, at admission or in this step
+        spill = np.isnan(t) | np.isnan(rec).any(axis=1)
+        rerun.append(rep[spill])
         keep = ~(done | spill)
-        rows, rec = rows[keep], rec[keep]
-    for row in np.concatenate(rerun).tolist():
-        r = reps.start + row
+        if not keep.all():
+            rep, rec = rep[keep], rec[keep]
+            recs.keep(np.repeat(keep, n))
+            if ins is not None:
+                ins.keep(keep)
+    for r in np.concatenate(rerun).tolist():
         out[r] = _reception_times(config, RandomnessPlan(seed, r), stop, stop.node)[1]
-    return recs.drawn + (0 if ins is None else ins.drawn)
+    return EmpiricalDistribution.from_values(out)
 
 
 class _StreamBatch:
-    """The keyed streams ``(seed, keys[i])`` of a chunk, read block by block
-    as ``_KeyedStream`` reads one.
+    """Keyed streams ``(seed, key)`` read block by block as ``_KeyedStream``
+    reads one; stream s is the s-th of the batch, counting only streams that
+    are still kept.
 
-    Block 0 of every stream is drawn up front by ``_philox_uniforms``.  When
-    a lookup passes the end of a stream's block b, block b + 1 is drawn by
-    ``_draw_block`` and its running sum goes on from block b's last point.
-    The blocks of one index share a store that grows geometrically, so
-    lookups are grouped by block index.  ``gap(u, s)`` maps the uniforms of
-    streams ``s``, one row each, to gaps.
+    ``admit`` draws block 0 of new streams by ``_philox_uniforms``.  When a
+    lookup passes the end of a stream's block b, block b + 1 is drawn by
+    ``_draw_blocks`` and its running sum goes on from block b's last point.
+    The rows of one block index share a store, so lookups are grouped by
+    block index.  A stream holds one row, that of the block it is reading:
+    its row of block b is released once block b + 1 has been continued from
+    it, and its last row when ``keep`` drops it.  A store fills released
+    rows before it grows.  ``gap(u, s)`` maps the uniforms of streams ``s``,
+    one row each, to gaps.
     """
 
-    def __init__(self, seed: int, keys: np.ndarray, gap):
-        self._seed, self._keys, self._gap = seed, keys, gap
-        every = np.arange(len(keys))
+    def __init__(self, seed: int, gap):
+        self._seed, self._gap = seed, gap
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._block = np.empty(0, dtype=np.intp)
+        self._slot = np.empty(0, dtype=np.intp)
+        self._stores = [np.empty((0, _block_size(b))) for b in range(_LAST_BLOCK + 1)]
+        self._fill = [0] * (_LAST_BLOCK + 1)
+        self._free = [np.empty(0, dtype=np.intp) for _ in range(_LAST_BLOCK + 1)]
+        self.points = 0          # in the rows the streams hold
+
+    def admit(self, keys: np.ndarray) -> np.ndarray:
+        """Add the streams ``keys`` at block 0; return their indices."""
+        s = np.arange(len(self._keys), len(self._keys) + len(keys))
         u = np.empty((len(keys), _FIRST_BLOCK))
-        for s in range(0, len(keys), _PHILOX_SLICE):
-            u[s:s + _PHILOX_SLICE] = _philox_uniforms(seed, keys[s:s + _PHILOX_SLICE], 0, _FIRST_BLOCK)
-        u = _continued(gap(u, every), 0.0)
-        self._stores = [u] + [np.empty((0, _block_size(b))) for b in range(1, _LAST_BLOCK + 1)]
-        self._fill = [len(keys)] + [0] * _LAST_BLOCK
-        self._block = np.zeros(len(keys), dtype=np.intp)
-        self._slot = every
-        self.drawn = u.size
+        for i in range(0, len(keys), _PHILOX_SLICE):
+            u[i:i + _PHILOX_SLICE] = _philox_uniforms(self._seed, keys[i:i + _PHILOX_SLICE],
+                                                      0, _FIRST_BLOCK)
+        self._keys = np.concatenate((self._keys, keys))
+        self._block = np.concatenate((self._block, np.zeros(len(keys), dtype=np.intp)))
+        self._slot = np.concatenate((self._slot, self._append(0, _continued(self._gap(u, s), 0.0))))
+        return s
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the streams where ``mask`` is false, releasing their rows;
+        the kept streams are renumbered in order."""
+        block, slot = self._block[~mask], self._slot[~mask]
+        for b in np.flatnonzero(np.bincount(block)).tolist():
+            self._release(b, slot[block == b])
+        self._keys, self._block, self._slot = self._keys[mask], self._block[mask], self._slot[mask]
 
     def after(self, s: np.ndarray, t: np.ndarray, before) -> np.ndarray:
         """The first point p of each stream s[i] with ``not before(p, t[i])``,
@@ -738,7 +787,8 @@ class _StreamBatch:
                 out[g[hit]] = pts[hit, pos[hit]]
                 ended.append(g[~hit])
             todo = np.concatenate(ended)
-            todo = todo[self._next_blocks(s[todo])]
+            if len(todo):
+                todo = todo[self._next_blocks(s[todo])]
         return out
 
     def _next_blocks(self, s: np.ndarray) -> np.ndarray:
@@ -749,25 +799,33 @@ class _StreamBatch:
         block = self._block[s]
         for b in np.flatnonzero(np.bincount(block)).tolist():
             g = s[block == b]
-            size = self._stores[b + 1].shape[1]
-            u = np.array([_draw_block(self._seed, key, b + 1, size)
-                          for key in self._keys[g].tolist()])
-            u = _continued(self._gap(u, g), self._stores[b][self._slot[g], -1:])
+            u = _draw_blocks(self._seed, self._keys[g].tolist(), b + 1,
+                             np.empty((len(g), _block_size(b + 1))))
+            old = self._slot[g]
+            u = _continued(self._gap(u, g), self._stores[b][old, -1:])
+            self._release(b, old)
             self._slot[g] = self._append(b + 1, u)
             self._block[g] = b + 1
-            self.drawn += u.size
         return drawn
 
+    def _release(self, b: int, slots: np.ndarray) -> None:
+        self._free[b] = np.concatenate((self._free[b], slots))
+        self.points -= len(slots) * _block_size(b)
+
     def _append(self, b: int, pts: np.ndarray) -> np.ndarray:
-        """Store rows ``pts`` of block b; return their slots."""
-        store, fill = self._stores[b], self._fill[b]
-        if fill + len(pts) > len(store):
-            grown = np.empty((max(2 * len(store), fill + len(pts)), store.shape[1]))
-            grown[:fill] = store[:fill]
-            self._stores[b] = store = grown
-        store[fill:fill + len(pts)] = pts
-        self._fill[b] = fill + len(pts)
-        return np.arange(fill, fill + len(pts))
+        """Store rows ``pts`` of block b, in released rows first; return
+        their slots."""
+        store, fill, free = self._stores[b], self._fill[b], self._free[b]
+        grow = max(0, len(pts) - len(free))
+        if fill + grow > len(store):
+            # in place, so the old rows are not held twice; no view of a
+            # store outlives a call
+            store.resize((max(len(store) * 5 // 4, fill + grow), store.shape[1]), refcheck=False)
+        slots = np.concatenate((free[:len(pts)], np.arange(fill, fill + grow)))
+        self._free[b], self._fill[b] = free[len(pts):], fill + grow
+        store[slots] = pts
+        self.points += pts.size
+        return slots
 
 
 def sample_interreception(config: SystemConfig, node: int, gap_count: int,

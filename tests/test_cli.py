@@ -124,6 +124,30 @@ class TestCommands:
         values = [float(l) for l in out.splitlines() if not l.startswith("#")]
         assert len(values) == 50 and all(v > 0 for v in values)
 
+    def test_simulate_headers_echo_the_flags_that_applied(self, capsys):
+        _, out, _ = run_cli(["simulate", "--rates", "explicit:1,1", "--input", "permanent",
+                             "--seed", "3"], capsys)
+        assert ("# command: simulate --rates explicit:1,1 --input permanent --nodes 1:2 "
+                "--stop horizon:10 --reps 1") in out.splitlines()
+        _, out, _ = run_cli(["simulate", "--rates", "explicit:1,1", "--input", "permanent",
+                             "--reps", "5", "--seed", "3"], capsys)
+        assert ("# command: simulate --rates explicit:1,1 --input permanent --nodes 1:2 "
+                "--reps 5 --node 1") in out.splitlines()
+        assert "--stop" not in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--reps", "3", "--stop", "garbage"], "--stop"),
+        (["--reps", "3", "--stop", "horizon:10"], "--stop"),
+        (["--node", "1"], "--node"),
+        (["--reps", "1", "--node", "2"], "--node"),
+    ], ids=["stop-garbage-reps", "stop-reps", "node-single", "node-reps-1"])
+    def test_simulate_refuses_flags_that_do_not_apply(self, capsys, argv, flag):
+        # these exited 0, and the header echoed a stop that was never applied
+        code, out, err = run_cli(["simulate", "--rates", "explicit:1,1", "--input",
+                                  "permanent", "--seed", "3"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert f"onoffchain: {flag} applies only to" in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["simulate", "--rates", "explicit:1,2", "--input", "exp:1",
                 "--stop", "horizon:8", "--seed", "11"]

@@ -212,6 +212,12 @@ class TestMonotonicity:
         with pytest.raises(ValueError):
             limit.monotonicity_check(1, [4, 2], LINEAR, 10, seed=0)
 
+    def test_nan_band_refused(self, monkeypatch):
+        # the check hands its band to dominance_check, which refuses NaN
+        monkeypatch.setattr(limit, "dkw_band", lambda n, alpha: math.nan)
+        with pytest.raises(ValueError, match="band must be >= 0, got nan"):
+            limit.monotonicity_check(1, [2, 3], LINEAR, 20, seed=0)
+
 
 class TestCdfLowerBound:
     def test_plugin_arithmetic_at_t_100(self):

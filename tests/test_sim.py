@@ -245,7 +245,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("rates, lo, model", _GRID,
                              ids=[f"{r}-lo{lo}-{m}" for r, lo, m in _GRID])
     def test_matches_per_rep_simulate(self, monkeypatch, rates, lo, model):
-        # chunks of a few replications, so 40 replications span several
+        # a batch of a few replications, so 40 replications join it in
+        # several groups
         monkeypatch.setattr(sim, "_CHUNK_POINTS", 2048)
         cfg = core.SystemConfig(lo, lo + 5, _GRID_RATES[rates](lo), _GRID_INPUTS[model])
         for node in (lo, lo + 2, lo + 5):
@@ -290,7 +291,9 @@ class TestBatchedKernel:
         def forbidden(*args, **kwargs):
             raise AssertionError("allocated or drew before the range check")
 
-        monkeypatch.setattr(sim, "_first_reception_chunk", forbidden)
+        monkeypatch.setattr(sim, "_StreamBatch", forbidden)
+        monkeypatch.setattr(sim, "_philox_uniforms", forbidden)
+        monkeypatch.setattr(sim, "_draw_blocks", forbidden)
         monkeypatch.setattr(sim.np, "empty", forbidden)
         with pytest.raises(ValueError):
             sim.sample_first_reception(unit_chain(2, core.InputModel.permanent()), 1, reps, seed)
@@ -310,17 +313,20 @@ class TestBatchedKernel:
         assert peaks[1] - peaks[0] <= 16 * 8 * chunk + 2**16
 
     def test_ladder_rung_peak_memory(self):
-        # later blocks stay within the chunk point budget; the warm-up call
-        # keeps one-time imports and caches out of the measured peak
+        # the batch holds about the point budget whatever the replication
+        # count, since a stream's rows are reused once it moves on or ends;
+        # the warm-up call keeps one-time imports and caches out of the
+        # measured peak
         rates = core.RateSchedule.linear(1.0)
         limit.sample_truncation_law(1, 32, rates, 20, seed=5)
-        tracemalloc.start()
-        try:
-            limit.sample_truncation_law(1, 32, rates, 400, seed=31)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 2**20
+        for reps in (400, 2000):
+            tracemalloc.start()
+            try:
+                limit.sample_truncation_law(1, 32, rates, reps, seed=31)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 2**20, reps
 
     @pytest.mark.parametrize("seed", [7, 2**64 - 1], ids=["seed7", "seed-max"])
     @pytest.mark.parametrize("k, l, reps", [(1, 32, 100), (50, 200, 60)],
@@ -331,24 +337,44 @@ class TestBatchedKernel:
         # recovery streams; none of their replications leaves the kernel
         cfg = analytic.permanent_reduce(core.SystemConfig(
             k, l, core.RateSchedule.linear(1.0), core.InputModel.permanent()))
-        reruns, chunks = [], []
-        entry, chunk = sim._reception_times, sim._first_reception_chunk
+        reruns, groups = [], {}
+        entry, admit = sim._reception_times, sim._StreamBatch.admit
 
         def counted_entry(*args):
             reruns.append(args[1].rep)
             return entry(*args)
 
-        def counted_chunk(*args):
-            chunks.append(args[3])
-            return chunk(*args)
+        def counted_admit(batch, keys):
+            groups[id(batch)] = groups.get(id(batch), 0) + 1
+            return admit(batch, keys)
 
         monkeypatch.setattr(sim, "_reception_times", counted_entry)
-        monkeypatch.setattr(sim, "_first_reception_chunk", counted_chunk)
+        monkeypatch.setattr(sim._StreamBatch, "admit", counted_admit)
         got = sim.sample_first_reception(cfg, k, reps, seed)
         monkeypatch.undo()
-        assert len(chunks) >= 2
+        # at least two groups join, each into the input and recovery batches
+        assert len(groups) == 2 and min(groups.values()) >= 2
         assert reruns == []
         assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, k, reps, seed)))
+
+    def test_rows_join_while_others_read_later_blocks(self, monkeypatch):
+        # with a small budget the l = 32 rung admits replications while
+        # streams of the running ones sit in a later block (1 to 3), and
+        # every replication still gets the horizon of its own run
+        monkeypatch.setattr(sim, "_CHUNK_POINTS", 2048)
+        cfg = analytic.permanent_reduce(core.SystemConfig(
+            1, 32, core.RateSchedule.linear(1.0), core.InputModel.permanent()))
+        seen, admit = set(), sim._StreamBatch.admit
+
+        def watched_admit(batch, keys):
+            seen.update(batch._block.tolist())
+            return admit(batch, keys)
+
+        monkeypatch.setattr(sim._StreamBatch, "admit", watched_admit)
+        got = sim.sample_first_reception(cfg, 1, 60, 4242)
+        monkeypatch.undo()
+        assert seen & {1, 2, 3}
+        assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, 60, 4242)))
 
     @pytest.mark.parametrize("kind", ["recovery", "exp-input", "empirical-input"])
     def test_later_blocks_continue_keyed_streams(self, monkeypatch, kind):
@@ -367,11 +393,12 @@ class TestBatchedKernel:
             keys = [plan.input_key() for plan in plans]
             streams = [sim._KeyedStream(key, model.quantile) for key in keys]
             gap = lambda u, s: model.quantile(u)
-        batch = sim._StreamBatch(seed, np.array([k1 for _, k1 in keys], dtype=np.uint64), gap)
+        batch = sim._StreamBatch(seed, gap)
+        every = batch.admit(np.array([k1 for _, k1 in keys], dtype=np.uint64))
         want = np.concatenate([np.array([stream.next_block() for stream in streams])
                                for _ in range(4)], axis=1)
         got = np.empty_like(want)
-        every, t = np.arange(reps), np.full(reps, -np.inf)
+        t = np.full(reps, -np.inf)
         for j in range(want.shape[1]):
             got[:, j] = t = batch.after(every, t, np.less_equal)
         assert np.array_equal(bits(got), bits(want))
@@ -632,6 +659,30 @@ class TestStatistics:
         assert sim.dominance_check(lower, upper, band).dominates
         swapped = sim.dominance_check(upper, lower, band)
         assert not swapped.dominates and swapped.witness is not None
+
+    def test_dominance_refuses_a_nan_band(self):
+        # band 0 finds a deficit of 1.0 here; a NaN band compared false
+        # everywhere and reported dominance
+        lower = sim.EmpiricalDistribution.from_values([5.0])
+        upper = sim.EmpiricalDistribution.from_values([1.0])
+        assert sim.dominance_check(lower, upper, 0.0).max_deficit == 1.0
+        for band in (math.nan, -0.1):
+            with pytest.raises(ValueError, match="band must be >= 0"):
+                sim.dominance_check(lower, upper, band)
+
+    @pytest.mark.parametrize("cdf, match", [
+        (lambda x: np.where(x > 0.5, np.nan, exp_cdf(1.0)(x)), r"\[0, 1\], got nan"),
+        (lambda x: np.full(len(x), 7.0), r"\[0, 1\], got 7.0"),
+        (lambda x: exp_cdf(1.0)(x) - 0.5, r"\[0, 1\], got -"),
+        (lambda x: exp_cdf(1.0)(x)[:-1], "shape"),
+        (lambda x: 0.5, "shape"),
+    ], ids=["nan-at-one-sample", "seven", "negative", "short", "scalar"])
+    def test_ks_one_sample_refuses_a_bad_reference(self, cdf, match):
+        # a NaN distance compared below every critical value, and a CDF of
+        # 7.0 gave a distance of 7.0
+        dist = sim.EmpiricalDistribution.from_values([0.1, 0.4, 0.9, 2.0])
+        with pytest.raises(ValueError, match=match):
+            sim.ks_one_sample(dist, cdf)
 
     @pytest.mark.parametrize("n, alpha", [(0, 0.01), (-5, 0.01), (math.nan, 0.01),
                                           (100, 0.0), (100, 1.0), (100, 2.0), (100, 3.0),
