@@ -26,8 +26,8 @@ from .core import DETERMINISTIC, EXPONENTIAL, InputModel, SystemConfig
 
 __all__ = [
     "LaplaceEval", "HighPrecisionReal", "EULER_GAMMA", "EXP_EULER_GAMMA",
-    "PermanentInputError", "ImproperTransformError", "InfiniteMeanError",
-    "ComplexityError", "PrecisionError", "ConvergenceError",
+    "PermanentInputError", "ImproperTransformError", "ComplexityError",
+    "PrecisionError", "ConvergenceError",
     "transform_of_input", "node_step", "chain_transform", "subset_expansion",
     "mean_from_transform", "permanent_reduce", "exact_mean_equal_rates",
     "exact_mean_small_fraction", "euler_ratio", "harmonic_lower_bound",
@@ -41,9 +41,9 @@ _FLOAT_WEIGHT_CAP = 2 ** 10   # largest subset weight summed in float64
 _GUARD_BITS = 32
 _LOG_SLACK_BITS = 32   # fixed-point bits the log table's error bound may take up
 _BLOCK = 2 ** 16    # array elements a blocked evaluation holds at a time
-_MEAN_H0 = 1e-3
+_TINY = float(np.finfo(np.float64).tiny)   # the smallest normal float
+_MEAN_H0 = 2.0 ** -64    # the step at which mean_from_transform reads phi(s)/s
 _MEAN_REL_TOL = 1e-8
-_MEAN_MAX_STEPS = 14
 
 
 class PermanentInputError(ValueError):
@@ -52,10 +52,6 @@ class PermanentInputError(ValueError):
 
 class ImproperTransformError(ValueError):
     """phi(0) != 0: not the transform of a proper interval law."""
-
-
-class InfiniteMeanError(ArithmeticError):
-    """phi(s)/s diverges as s -> 0: the law has no finite mean."""
 
 
 class ComplexityError(RuntimeError):
@@ -67,7 +63,8 @@ class PrecisionError(ValueError):
 
 
 class ConvergenceError(ArithmeticError):
-    """An extrapolation ran out of evaluations before it settled."""
+    """phi(s)/s gives no mean at its step: the law has no finite mean or its
+    scale is out of range, and the two are not told apart."""
 
 
 class LaplaceEval:
@@ -163,7 +160,10 @@ def node_step(phi: LaplaceEval, rate: float) -> LaplaceEval:
         high = float(np.max(s, initial=0.0))    # numpy warns on an overflowing add
         if not math.isfinite(high + rate):
             raise ValueError(f"s = {high!r} plus the rate {rate!r} is beyond the float range")
-        return phi(s) / phi(s + rate)
+        num, den = phi(s), phi(s + rate)
+        _refuse_underflow(s, ((num < _TINY) & (s != 0.0)) | (den < _TINY),
+                          f"{phi!r} at s or s + {rate!r}")
+        return num / den
 
     return LaplaceEval(stepped, "composite", f"{phi.label} -> node({rate})")
 
@@ -199,6 +199,15 @@ def _positive_rates(rates) -> list[float]:
         if not (math.isfinite(r) and r > 0):
             raise ValueError(f"recovery rates must be positive and finite, got {r}")
     return rs
+
+
+def _refuse_underflow(s: np.ndarray, low: np.ndarray, what: str):
+    """Refuse the first point of ``s`` flagged in ``low``, where a value to be
+    logged or divided is below the smallest normal float."""
+    bad = np.flatnonzero(low)
+    if len(bad):
+        raise ValueError(f"{what} is below the smallest normal float at s = {float(s[bad[0]])!r}; "
+                         f"its log or quotient would lose relative precision")
 
 
 def _guarded(fn, model: InputModel, top: float):
@@ -286,7 +295,9 @@ def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
         phi_in = _input_law(model)
 
         def total(x):
-            return np.sum(weights * np.log(phi_in(np.add.outer(x, sums))), axis=-1)
+            values = phi_in(np.add.outer(x, sums))
+            _refuse_underflow(x, (values < _TINY).any(axis=-1), "the input law at s + sigma")
+            return np.sum(weights * np.log(values), axis=-1)
 
         def fn(s):
             rows = max(1, _BLOCK // len(sums))     # points per block of s + sums
@@ -314,8 +325,8 @@ def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
     even- and odd-sized subsets, with phi evaluated at all 2^L points in one
     array call.  At s = 0 the empty-subset factor vanishes and the value is
     0; extract the mean via :func:`mean_from_transform` instead of dividing
-    here.  Rates or an s whose sums overflow, and a phi that is not positive
-    at some point, are refused with ValueError.
+    here.  Rates or an s whose sums overflow, and a phi below the smallest
+    normal float at some point, are refused with ValueError.
     """
     rs = _positive_rates(rates)
     L = len(rs)
@@ -341,52 +352,33 @@ def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
         parity = np.concatenate([parity, parity ^ 1])
     points = s + sums
     values = phi(points)
-    bad = np.flatnonzero(~(values > 0))
-    if len(bad):
-        raise ValueError(f"{phi!r} is {float(values[bad[0]])!r} at s = {float(points[bad[0]])!r}; "
-                         f"the expansion takes logs of positive values only")
+    _refuse_underflow(points, values < _TINY, f"{phi!r}")
     logs = np.log(values)
     total = float(np.sum(logs[parity == 0]) - np.sum(logs[parity == 1]))
     return math.exp(total)
 
 
 def mean_from_transform(phi: LaplaceEval) -> float:
-    """Mean of the interval law: the s -> 0+ limit of phi(s)/s.
+    """Mean of the interval law: phi(h)/h at h = ``_MEAN_H0`` = 2^-64, from
+    one call of phi on [0, h, 2h]; phi(0) must be 0 exactly.
 
-    Uses Richardson extrapolation on a halving step, starting at 1e-3,
-    until two successive extrapolants agree to ``_MEAN_REL_TOL`` (1e-8
-    relative).  Each step reads phi at h, h/2 and h/4; the next step's h is
-    this one's h/2, exactly, so each halving evaluates phi once, at h/4.
-    Raises ConvergenceError when ``_MEAN_MAX_STEPS`` halvings do not get
-    there.
+    As phi(s)/s = E T - s E T^2 / 2 + ..., the read at h is off by about
+    h E T^2 / (2 E T), below 1e-8 relative while E T^2 / E T is below about
+    3e11, and the read at 2h by twice that.  So unless phi(h) is a normal
+    float and the two reads agree within ``_MEAN_REL_TOL``, which bounds the
+    error to first order, ConvergenceError: no finite mean, or a scale out of
+    range (an input mean below 2^-958 underflows phi(h)).
     """
-    phi0 = phi(0.0)
-    if abs(phi0) > 1e-12:
-        raise ImproperTransformError(f"phi(0) = {phi0}, expected 0")
     h = _MEAN_H0
-    a1, a2 = phi(h) / h, phi(h / 2) / (h / 2)
-    prev = first = None
-    est = delta = math.nan
-    growth = 0
-    for _ in range(_MEAN_MAX_STEPS):
-        a0, a1, a2 = a1, a2, phi(h / 4) / (h / 4)
-        r1a = 2 * a1 - a0
-        r1b = 2 * a2 - a1
-        est = (4 * r1b - r1a) / 3
-        if prev is not None:
-            delta = abs(est - prev)
-            if delta <= _MEAN_REL_TOL * max(abs(est), 1e-300):
-                return est
-            growth = growth + 1 if abs(est) > 1.02 * abs(prev) else 0
-            if growth >= 6 and abs(est) > 8.0 * abs(first):
-                raise InfiniteMeanError("phi(s)/s keeps growing as s -> 0")
-        else:
-            first = est
-        prev = est
-        h /= 2
-    raise ConvergenceError(
-        f"phi(s)/s did not settle to rel_tol={_MEAN_REL_TOL} within {_MEAN_MAX_STEPS} "
-        f"halvings; last estimate {est!r}, last change {delta!r}")
+    zero, one, two = phi(np.array([0.0, h, 2 * h])).tolist()
+    if zero != 0.0:
+        raise ImproperTransformError(f"phi(0) = {zero}, expected 0")
+    mean, check = one / h, two / (2 * h)
+    if not (one >= _TINY and abs(mean - check) <= _MEAN_REL_TOL * mean):
+        raise ConvergenceError(
+            f"phi(s)/s is {mean!r} at s = 2^-64 and {check!r} at 2^-63; a mean is read only "
+            f"where phi(2^-64) is a normal float and the two agree to rel_tol={_MEAN_REL_TOL}")
+    return mean
 
 
 def permanent_reduce(config: SystemConfig) -> SystemConfig:

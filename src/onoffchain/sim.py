@@ -549,6 +549,8 @@ class EmpiricalDistribution:
         return self.std() / math.sqrt(self.count)
 
     def cdf(self, x) -> np.ndarray | float:
+        if np.isnan(x).any():      # searchsorted would put a NaN past every sample
+            raise ValueError("cdf points must not be NaN")
         pos = np.searchsorted(self.samples, x, side="right") / self.count
         return float(pos) if np.isscalar(x) else pos
 

@@ -179,6 +179,20 @@ class TestNodeStep:
         with pytest.raises(ValueError, match="recovery rates must be positive and finite"):
             analytic.node_step(phi, rate)
 
+    def test_underflowing_values_refused(self):
+        # det(1e-300) at s = 1e-20 is a subnormal 1e-320, whose quotient
+        # was 1.1e-5 off; phi(0) = 0 is exact and stays allowed
+        phi = analytic.transform_of_input(core.InputModel.deterministic(1e-300))
+        stepped = analytic.node_step(phi, 1.0)
+        assert stepped(0.0) == 0.0 and stepped(1e-3) == pytest.approx(1e-3 / 1.001, rel=1e-12)
+        with pytest.raises(ValueError, match=r"below the smallest normal float at s = 1e-20"):
+            stepped(np.array([0.0, 1.0, 1e-20]))
+        # and a subnormal denominator, phi(s + rate), under a normal numerator
+        sinking = analytic.LaplaceEval(lambda s: np.where(s < 0.5, s, 1e-310),
+                                       "closed-form", "sinking")
+        with pytest.raises(ValueError, match=r"below the smallest normal float at s = 0\.25"):
+            analytic.node_step(sinking, 1.0)(np.array([0.25, 0.3]))
+
     def test_huge_rate_approaches_identity(self):
         phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
         stepped = analytic.node_step(phi, 1e6)
@@ -245,6 +259,17 @@ class TestChainTransform:
             assert 0.0 < phi(1.0) <= 1.0
             with pytest.raises(ValueError, match="beyond the float range"):
                 phi(1e308)
+
+    @pytest.mark.parametrize("s", [1e-20, 1e-30])
+    def test_underflowing_input_law_refused(self, s):
+        # phi_in(s) of det(1e-300) is subnormal at 1e-20 (the chain read
+        # 9.99989e-21 for 1.0e-20) and 0 at 1e-30 (a log of 0 gave 0.0)
+        phi = analytic.chain_transform(core.InputModel.deterministic(1e-300), [1.0])
+        assert phi(1e-3) == pytest.approx(1e-3 / 1.001, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"below the smallest normal float at s = {s!r}"):
+                phi(np.array([1.0, s]))
 
     def test_overflowing_input_rate_refused(self):
         # exponential input: s plus the rate sum plus the input rate is the
@@ -454,6 +479,14 @@ class TestSubsetExpansion:
             with pytest.raises(ValueError, match=r"at s = 0\.5;"):
                 analytic.subset_expansion(phi, [1.0, 2.0], 0.5)
 
+    def test_subnormal_values_refused(self):
+        # a positive subnormal value has lost its relative precision; its
+        # log would be taken as though it had not
+        phi = analytic.transform_of_input(core.InputModel.deterministic(1e-300))
+        with pytest.raises(ValueError, match=r"at s = 1e-20;"):
+            analytic.subset_expansion(phi, [1.0], 1e-20)
+        assert analytic.subset_expansion(phi, [1.0], 1e-3) == pytest.approx(1e-3 / 1.001, rel=1e-12)
+
     @pytest.mark.parametrize("rate", [-0.5, 0.0, math.inf, math.nan])
     def test_non_positive_rates_refused(self, rate):
         # the same refusal as chain_transform's: a rate of -0.5 gave 1.5
@@ -521,8 +554,8 @@ class TestArrayCalls:
                     phi(s)
 
     def test_nan_refused_at_a_float(self):
-        # a float call used to return the nan, and the mean extraction spent
-        # all its evaluations on it before it gave up
+        # a float call used to return the nan; the mean extraction's one
+        # call, of three points, is refused
         points = []
 
         def fn(s):
@@ -535,7 +568,8 @@ class TestArrayCalls:
         points.clear()
         with pytest.raises(ValueError, match="one finite value per point"):
             analytic.mean_from_transform(phi)
-        assert points == [0.0, analytic._MEAN_H0]
+        h = analytic._MEAN_H0
+        assert points == [0.0, h, 2 * h]
 
     def test_overflowing_point_refused(self):
         # s plus the rate sum passes the float range at the largest entry
@@ -545,37 +579,82 @@ class TestArrayCalls:
                 phi(np.array([1.0, 1e308]))
 
 
-def _richardson_loop(phi):
-    """The mean extraction with three evaluations of phi per halving step:
-    the loop that ``analytic.mean_from_transform``, which evaluates each
-    point once, is checked against."""
+class _Unsettled(ArithmeticError):
+    """The Richardson oracle ran out of halvings before it settled."""
+
+
+class _Diverging(ArithmeticError):
+    """The Richardson oracle's extrapolants keep growing."""
+
+
+def _richardson_loop(phi, h=1e-3, steps=14, rel_tol=1e-8):
+    """The mean as the s -> 0+ limit of phi(s)/s by Richardson extrapolation
+    on a halving step from ``h``, three evaluations of phi per halving,
+    until two successive extrapolants agree to ``rel_tol``: the slow path
+    that ``analytic.mean_from_transform``'s one read is checked against."""
     if abs(phi(0.0)) > 1e-12:
         raise analytic.ImproperTransformError(f"phi(0) = {phi(0.0)}, expected 0")
-    h = analytic._MEAN_H0
     prev = first = None
-    growth = evals = 0
-    while evals < 3 * analytic._MEAN_MAX_STEPS:
+    growth = 0
+    for _ in range(steps):
         a0 = phi(h) / h
         a1 = phi(h / 2) / (h / 2)
         a2 = phi(h / 4) / (h / 4)
-        evals += 3
         est = (4 * (2 * a2 - a1) - (2 * a1 - a0)) / 3
         if prev is not None:
-            if abs(est - prev) <= analytic._MEAN_REL_TOL * max(abs(est), 1e-300):
+            if abs(est - prev) <= rel_tol * max(abs(est), 1e-300):
                 return est
             growth = growth + 1 if abs(est) > 1.02 * abs(prev) else 0
             if growth >= 6 and abs(est) > 8.0 * abs(first):
-                raise analytic.InfiniteMeanError("phi(s)/s keeps growing as s -> 0")
+                raise _Diverging("phi(s)/s keeps growing as s -> 0")
         else:
             first = est
         prev = est
         h /= 2
-    raise analytic.ConvergenceError("phi(s)/s did not settle")
+    raise _Unsettled("phi(s)/s did not settle")
+
+
+def _identity_mean(model, rates):
+    """E T = E X prod_(sigma > 0) phi_in(sigma)^(w_sigma) over the exact
+    subset table of the rates, in mpmath at 160 bits beyond the chain
+    length: the mean of the chain transform with no step and no limit, as
+    log phi(s) = sum_sigma w_sigma log phi_in(s + sigma) with w_0 = 1 and
+    phi_in(s)/s -> E X."""
+    with mpmath.workprec(len(rates) + 160):
+        if model.kind == core.EXPONENTIAL:
+            mean = 1 / mpmath.mpf(model.rate)
+        elif model.kind == core.DETERMINISTIC:
+            mean = mpmath.mpf(model.duration)
+        else:
+            mean = mpmath.fsum(mpmath.mpf(float(v)) for v in model.samples) / len(model.samples)
+        law = _mp_law(model)
+        for sigma, w in _fraction_table(rates)[1:]:
+            mean *= law(mpmath.mpf(sigma.numerator) / sigma.denominator) ** w
+        return mean
 
 
 def _oscillating(s):
     # phi(h)/h flips between 2 + c and 2 - c at every halving of h
     return s * (2.0 + np.cos(np.pi * np.log2(np.where(s > 0, s, 1.0))))
+
+
+# exp(1.5), det(0.8) and a 50-sample empirical law through eight chains,
+# from the empty chain to 64 equal rates and rates four decades apart
+_MEAN_INPUTS = {
+    "exp": core.InputModel.exponential(1.5),
+    "det": core.InputModel.deterministic(0.8),
+    "emp": core.InputModel.empirical(np.random.default_rng(50).gamma(2.0, 0.5, size=50)),
+}
+_MEAN_CHAINS = {
+    "mixed3": [0.7, 2.0, 1.1],
+    "equal8": [1.0] * 8,
+    "mixed1x8_2x8": [1.0] * 8 + [2.0] * 8,
+    "distinct12": _DIFF_CHAINS["distinct12"],
+    "equal64": [1.0] * 64,
+    "linear31": [float(r) for r in range(1, 32)],
+    "wide": [0.001] * 12 + [10.0],
+    "empty": [],
+}
 
 
 class TestMeanExtraction:
@@ -598,36 +677,78 @@ class TestMeanExtraction:
             analytic.mean_from_transform(phi)
 
     def test_unsettled_extrapolation_raises(self):
-        # the extrapolants oscillate for ever without growing
+        # phi(s)/s oscillates for ever without growing: its reads at 2^-64
+        # and 2^-63 are 3 and 1
         phi = analytic.LaplaceEval(_oscillating, "closed-form", "oscillating")
         with pytest.raises(analytic.ConvergenceError):
             analytic.mean_from_transform(phi)
 
     def test_infinite_mean_detected(self):
+        # refused as any read that does not settle: the reader cannot tell an
+        # infinite mean from a scale out of its range, so it names neither
         phi = analytic.LaplaceEval(lambda s: np.minimum(1.0, np.sqrt(s)),
                                    "closed-form", "heavy tail")
-        with pytest.raises(analytic.InfiniteMeanError):
+        with pytest.raises(analytic.ConvergenceError) as info:
             analytic.mean_from_transform(phi)
+        assert "infinite" not in str(info.value)
 
     def test_matches_three_evaluation_loop(self):
-        # each point is evaluated once, and the means keep their bits
+        # one call of phi, at 0, h and 2h, within the Richardson oracle's 1e-8
         exp1 = core.InputModel.exponential(1.0)
         cases = [analytic.chain_transform(exp1, [1.0] * n) for n in (8, 16, 32, 64)]
         cases += [analytic.chain_transform(exp1, [1.0, 2.0]),
                   analytic.chain_transform(exp1, [float(r) for r in range(1, 32)]),
                   analytic.chain_transform(core.InputModel.deterministic(0.8), [1.0] * 13)]
+        h = analytic._MEAN_H0
         for phi in cases:
-            points = []
-            counted = analytic.LaplaceEval(lambda s, phi=phi: points.extend(s.tolist()) or phi(s),
+            calls = []
+            counted = analytic.LaplaceEval(lambda s, phi=phi: calls.append(s.tolist()) or phi(s),
                                            phi.kind, phi.label)
-            assert analytic.mean_from_transform(counted) == _richardson_loop(phi), phi
-            # phi(0), then h and h/2, then h/4 once per halving
-            assert len(points) == len(set(points)) <= 3 + analytic._MEAN_MAX_STEPS, phi
-        for fn, error in ((_oscillating, analytic.ConvergenceError),
-                          (lambda s: np.minimum(1.0, np.sqrt(s)), analytic.InfiniteMeanError)):
+            mean, oracle = analytic.mean_from_transform(counted), _richardson_loop(phi)
+            assert abs(mean - oracle) <= 1e-8 * oracle, (phi, mean, oracle)
+            assert calls == [[0.0, h, 2 * h]], phi
+        for fn, error in ((_oscillating, _Unsettled),
+                          (lambda s: np.minimum(1.0, np.sqrt(s)), _Diverging)):
             phi = analytic.LaplaceEval(fn, "closed-form", "divergent")
             with pytest.raises(error):
                 _richardson_loop(phi)
+
+    @pytest.mark.parametrize("chain_name", list(_MEAN_CHAINS))
+    @pytest.mark.parametrize("input_name", list(_MEAN_INPUTS))
+    def test_matches_identity_oracle(self, input_name, chain_name):
+        model, rates = _MEAN_INPUTS[input_name], _MEAN_CHAINS[chain_name]
+        mean = analytic.mean_from_transform(analytic.chain_transform(model, rates))
+        exact = _identity_mean(model, rates)
+        with mpmath.workprec(200):
+            assert abs(mean - exact) <= 1e-11 * exact, (mean, mpmath.nstr(exact, 17))
+
+    @pytest.mark.parametrize("model, rates", [
+        (core.InputModel.exponential(1.0), [1e-6]),
+        (core.InputModel.exponential(1e-6), [1.0]),
+        (core.InputModel.deterministic(1e6), [1.0, 1.0]),
+    ], ids=["slow-node", "slow-input", "long-det-input"])
+    def test_million_means_answered(self, model, rates):
+        # means near 1e6 were refused as infinite by Richardson's growth test
+        mean = analytic.mean_from_transform(analytic.chain_transform(model, rates))
+        exact = _identity_mean(model, rates)
+        with mpmath.workprec(200):
+            assert abs(mean - exact) <= 1e-11 * exact, (mean, mpmath.nstr(exact, 17))
+
+    def test_out_of_range_scales_refused(self):
+        # det(1e-300): phi_in(2^-64) underflows to a subnormal, and the
+        # unrefused read was 2.3e-5 off; one node of rate 1e-300: s + 1e-300
+        # rounds to s, so phi(s) = 1 and the two reads give 2^64 and 2^63
+        phi = analytic.chain_transform(core.InputModel.deterministic(1e-300), [1.0])
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            analytic.mean_from_transform(phi)
+        phi = analytic.chain_transform(core.InputModel.exponential(1.0), [1e-300])
+        with pytest.raises(analytic.ConvergenceError):
+            analytic.mean_from_transform(phi)
+        # a bare input law has no underflow check: its two subnormal reads
+        # agree, and only the normal-float condition refuses them
+        phi = analytic.transform_of_input(core.InputModel.deterministic(1e-300))
+        with pytest.raises(analytic.ConvergenceError):
+            analytic.mean_from_transform(phi)
 
 
 class TestPermanentReduce:

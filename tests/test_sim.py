@@ -716,6 +716,14 @@ class TestStatistics:
         assert d.cdf(1.5) == 0.5
         assert list(d.export_lines()) == ["1.0", "2.0"]
 
+    def test_cdf_refuses_nan_points(self):
+        # searchsorted puts a NaN past every sample, so the cdf read 1.0
+        d = sim.EmpiricalDistribution.from_values([1.0, 2.0, 3.0])
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="cdf points must not be NaN"):
+                d.cdf(x)
+        assert d.cdf(math.inf) == 1.0 and d.cdf(-math.inf) == 0.0
+
 
 class TestEngineEdges:
     def test_empty_chain_emits_inputs_only(self):
