@@ -37,7 +37,8 @@ EULER_GAMMA = 0.57721566490153286
 EXP_EULER_GAMMA = 1.7810724179901979852   # exp(EULER_GAMMA); comparison constant only
 
 _TERM_CAP = 2 ** 25       # subset sums one exact chain evaluation may expand into
-_FLOAT_WEIGHT_CAP = 2 ** 10   # largest subset weight summed in float64
+_FLOAT_REL_TOL = 2.0 ** -30   # error bound up to which a chain transform is summed in float64
+_FN_UNITS = 4      # units of 2^-53 charged to one np.log, np.expm1 or math.exp: 2 ulp
 _GUARD_BITS = 32
 _LOG_SLACK_BITS = 32   # fixed-point bits the log table's error bound may take up
 _BLOCK = 2 ** 16    # array elements a blocked evaluation holds at a time
@@ -125,9 +126,9 @@ def _input_law(model: InputModel, lib=np):
     """phi of a proper input law: elementwise on a float array of any shape
     with ``lib`` numpy, at one mpmath argument with ``lib`` mpmath, its float
     parameters converted once and exactly.  The empirical law sums each
-    point's samples in one row, and takes the points in blocks of
-    ``max(1, _BLOCK // len(samples))``, so no point's value depends on the
-    other points of its call."""
+    point's samples in one column by :func:`_tree_sum`, and takes the points
+    in blocks of ``max(1, _BLOCK // len(samples))``, so no point's value
+    depends on the other points of its call."""
     num = mpmath.mpf if lib is mpmath else float
     if model.kind == EXPONENTIAL:
         rho = num(model.rate)
@@ -145,8 +146,8 @@ def _input_law(model: InputModel, lib=np):
         flat = np.ravel(x)
         out = np.empty_like(flat)
         for i in range(0, len(flat), rows):
-            terms = np.multiply.outer(flat[i:i + rows], negated)
-            out[i:i + rows] = np.expm1(terms, out=terms).sum(axis=-1)
+            terms = np.multiply.outer(negated, flat[i:i + rows])
+            out[i:i + rows] = _tree_sum(np.expm1(terms, out=terms))
         return (-out / len(negated)).reshape(np.shape(x))
 
     return emp
@@ -175,8 +176,11 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
     result does not depend on the order, bit for bit.  Folding ``node_step``
     gives ``log phi(s) = sum_sigma w_sigma log phi_in(s + sigma)`` over the
     distinct subset sums of the rates, weighted as in :func:`_subset_table`.
-    The sum cancels bits: it runs in float64 while max |w| <= 2**10, and
-    otherwise in mpmath at ``len(rates) + 85`` bits, as sum |w| <= 2**len(rates).
+    The sum cancels bits.  :func:`_error_bound` bounds the relative error B
+    of its float64 evaluation once, from the table and one call of the law:
+    it runs in float64 where B <= ``_FLOAT_REL_TOL`` = 2^-30, which is then
+    the stated tolerance of every value, and otherwise in mpmath at
+    ceil(log2(B / 2^-53)) + 85 bits, where the same bound comes to 2^-85.
     """
     base = transform_of_input(model)
     rs = _positive_rates(rates)
@@ -187,7 +191,7 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
         top = int(sums[-1]) / (1 << k)     # the largest sum, rounded once
     except OverflowError:
         raise ValueError("the recovery rates sum beyond the float range") from None
-    fn = _table_sum(model, sums, weights, k, len(rs) + 53 + _GUARD_BITS)
+    fn = _table_sum(model, sums, weights, k)
     return LaplaceEval(_guarded(fn, model, top), "composite",
                        f"{base.label} -> chain({len(rs)})")
 
@@ -280,13 +284,89 @@ def _subset_table(rates: list[float]):
     return sums, weights, k
 
 
-def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
+def _tree_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums over the first axis, whose n rows are added into one another in
+    halves, so a term passes through at most ceil(log2 n) roundings; each
+    column's sum depends on that column alone."""
+    width = 1 << (len(terms) - 1).bit_length() >> 1    # the largest power of two below n
+    if not width:
+        return terms[0].copy()
+    total = terms[:width].copy()
+    total[:len(terms) - width] += terms[width:]
+    while width > 1:
+        width //= 2
+        total[:width] += total[width:2 * width]
+    return total[0]
+
+
+def _error_bound(model: InputModel, sums, weights, k: int) -> tuple[float, int]:
+    """``(B, bits)`` for a subset table: B bounds, to first order in
+    u = 2^-53, the relative error of the float64 evaluation of
+    :func:`_table_sum` at any s >= 0 it does not refuse, and ``bits`` is the
+    mpmath width, ceil(log2(B / u)) + 53 + ``_GUARD_BITS``.
+
+    A value's relative error is the absolute error of its log, the sum
+    S = sum_sigma w_sigma l_sigma with l_sigma = log phi_in(s + sigma).
+    Counted in units of u, with ``_FN_UNITS`` per log, expm1 or exp call:
+
+    - the argument: sigma rounds to a float and s + sigma rounds, 2 units;
+      as x phi_in'(x) <= phi_in(x) for every law, an argument's relative
+      error passes to phi_in at most once.  The law adds its own: 2 for
+      x / (rho + x); 1 + ``_FN_UNITS`` for -expm1(-d x); 2 + ``_FN_UNITS``
+      + ceil(log2 K) for an empirical law of K samples, whose K terms of
+      one sign go through :func:`_tree_sum`.  So c_law = 4, 3 + ``_FN_UNITS``
+      and 4 + ``_FN_UNITS`` + ceil(log2 K) units of absolute error in l;
+    - the log, the product with w (and w's own rounding past 2^53), and a
+      tree sum of the N terms of depth d = ceil(log2 N) add
+      (d + ``_FN_UNITS`` + 2) units of |w_sigma l_sigma|.
+
+    phi_in is nondecreasing and below 1, so for sigma >= sigma_min, the
+    least positive sum, |l_sigma| <= L = |log phi_in(sigma_min)|, read off
+    one call of the float law.  The term sigma = 0 has w = 1 and, being
+    unrefused, |l_0| <= 745; with the final exp it adds at most
+    745 (d + ``_FN_UNITS`` + 1).  Hence, with M = sum_(sigma > 0) |w_sigma|
+    the exact integer from the table,
+
+        B / u <= M (L (d + _FN_UNITS + 2) + c_law) + 745 (d + _FN_UNITS + 1),
+
+    kept as an integer above it, so no weight sum overflows a float.  Where
+    phi_in(sigma_min) is below the smallest normal float, the float route
+    would refuse every point near 0: B is infinite, and L for the width
+    comes from the mpmath law.  The mpmath route makes each of these
+    errors at 2^-bits instead, and its fsum is exact, so it is within
+    2^-(53 + ``_GUARD_BITS``) before the result rounds to a float (give or
+    take a guard bit where its term at sigma = 0, which mpmath does not
+    underflow, passes 745).
+    """
+    depth = (len(sums) - 1).bit_length()
+    size = np.abs(weights)     # summed in int64 where that cannot overflow, else exactly
+    mass = int(size.sum(dtype=object if len(size) * int(size.max()) >= 2 ** 63 else None)) - 1
+    low = float(_input_law(model)(np.array([int(sums[1]) / (1 << k)]))[0])
+    if low >= _TINY:
+        log_low = -math.log(low)
+    else:
+        log_low = -float(mpmath.log(_input_law(model, mpmath)(mpmath.mpf((int(sums[1]), -k)))))
+    if model.kind == EXPONENTIAL:
+        c_law = 4
+    elif model.kind == DETERMINISTIC:
+        c_law = 3 + _FN_UNITS
+    else:
+        c_law = 4 + _FN_UNITS + (len(model.samples) - 1).bit_length()
+    units = (mass * (math.ceil(log_low * (depth + _FN_UNITS + 2)) + c_law)
+             + 745 * (depth + _FN_UNITS + 1))
+    finite = low >= _TINY and units.bit_length() <= 1024
+    return (units / 2 ** 53 if finite else math.inf), (units - 1).bit_length() + 53 + _GUARD_BITS
+
+
+def _table_sum(model: InputModel, sums, weights, k: int):
     """s -> exp(sum_sigma w_sigma log phi_in(s + sigma)) over a subset table,
-    in float64 while max |w| <= ``_FLOAT_WEIGHT_CAP``, else in mpmath at ``bits``;
-    elementwise over a 1-D array, each point's sum taken in one row and
-    exponentiated by ``math.exp``, so a point's value does not depend on the
-    other points of its call."""
-    if np.abs(weights).max() <= _FLOAT_WEIGHT_CAP:
+    in float64 where :func:`_error_bound` gives B <= ``_FLOAT_REL_TOL``, else
+    in mpmath at its width; elementwise over a 1-D array, each point's sum
+    taken in one column by :func:`_tree_sum` and exponentiated by
+    ``math.exp``, so a point's value does not depend on the other points of
+    its call."""
+    bound, bits = _error_bound(model, sums, weights, k)
+    if bound <= _FLOAT_REL_TOL:
         if sums.dtype == object:        # Python's int / int rounds once
             sums = np.array([x / (1 << k) for x in sums.tolist()])
         else:
@@ -295,9 +375,9 @@ def _table_sum(model: InputModel, sums, weights, k: int, bits: int):
         phi_in = _input_law(model)
 
         def total(x):
-            values = phi_in(np.add.outer(x, sums))
-            _refuse_underflow(x, (values < _TINY).any(axis=-1), "the input law at s + sigma")
-            return np.sum(weights * np.log(values), axis=-1)
+            values = phi_in(np.add.outer(sums, x))
+            _refuse_underflow(x, (values < _TINY).any(axis=0), "the input law at s + sigma")
+            return _tree_sum(weights[:, None] * np.log(values))
 
         def fn(s):
             rows = max(1, _BLOCK // len(sums))     # points per block of s + sums
@@ -363,21 +443,26 @@ def mean_from_transform(phi: LaplaceEval) -> float:
     one call of phi on [0, h, 2h]; phi(0) must be 0 exactly.
 
     As phi(s)/s = E T - s E T^2 / 2 + ..., the read at h is off by about
-    h E T^2 / (2 E T), below 1e-8 relative while E T^2 / E T is below about
-    3e11, and the read at 2h by twice that.  So unless phi(h) is a normal
-    float and the two reads agree within ``_MEAN_REL_TOL``, which bounds the
-    error to first order, ConvergenceError: no finite mean, or a scale out of
-    range (an input mean below 2^-958 underflows phi(h)).
+    a = h E T^2 / (2 E T), and the read at 2h by twice that.  phi's own
+    relative error e (at most ``_FLOAT_REL_TOL`` = 2^-30 for a chain
+    transform) enters each read once, so the two reads differ by a within
+    2e, and the read at h is off by at most their difference plus 3e.  Of
+    the ``_MEAN_REL_TOL`` = 1e-8 budget, 3 * 2^-30 < 2.8e-9 is therefore
+    kept for phi, and the reads must agree within the rest, which bounds
+    the error to first order.  Unless they do and phi(h) is a normal float,
+    ConvergenceError: no finite mean, or a scale out of range (an input
+    mean below 2^-958 underflows phi(h)).
     """
     h = _MEAN_H0
     zero, one, two = phi(np.array([0.0, h, 2 * h])).tolist()
     if zero != 0.0:
         raise ImproperTransformError(f"phi(0) = {zero}, expected 0")
     mean, check = one / h, two / (2 * h)
-    if not (one >= _TINY and abs(mean - check) <= _MEAN_REL_TOL * mean):
+    tol = _MEAN_REL_TOL - 3 * _FLOAT_REL_TOL
+    if not (one >= _TINY and abs(mean - check) <= tol * mean):
         raise ConvergenceError(
             f"phi(s)/s is {mean!r} at s = 2^-64 and {check!r} at 2^-63; a mean is read only "
-            f"where phi(2^-64) is a normal float and the two agree to rel_tol={_MEAN_REL_TOL}")
+            f"where phi(2^-64) is a normal float and the two agree to rel_tol={tol:.3g}")
     return mean
 
 

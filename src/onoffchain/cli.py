@@ -167,11 +167,11 @@ def build_parser() -> _Parser:
     li.add_argument("--k", type=int, default=None,
                     help="observed node of the --ladder table")
     li.add_argument("--ladder", default=None)
-    li.add_argument("--reps", type=int, default=10000)
+    li.add_argument("--reps", type=int, default=None)
     li.add_argument("--certify", default=None, metavar="K1,K2,...",
                     help="emit dense-signal certificates for these node "
                          "indices instead of the convergence table")
-    li.add_argument("--interval", default="0,1",
+    li.add_argument("--interval", default=None,
                     help="target interval a,b for --certify bounds")
     common(li)
 
@@ -292,26 +292,33 @@ def _cmd_transform(args) -> int:
 def _cmd_limit(args) -> int:
     rates = parse_rates(args.rates)
     if args.certify:
-        interval = _number_list(args.interval, float, "--interval")
+        for flag, value in (("--ladder", args.ladder), ("--reps", args.reps)):
+            if value is not None:
+                raise UsageError(f"{flag} applies only to the --ladder table, not to --certify")
+        text = "0,1" if args.interval is None else args.interval
+        interval = _number_list(text, float, "--interval")
         if len(interval) != 2:
-            raise UsageError(f"bad --interval {args.interval!r}: need two values a,b")
+            raise UsageError(f"bad --interval {text!r}: need two values a,b")
         a, b = interval
         lines = ["k,tau,tail_sum,rho,bound"]
         for k in _number_list(args.certify, int, "--certify"):
             cert = limit.interval_reception_bound(k, (a, b), rates)
             lines.append(cert.record())
         header = [f"command: limit --rates {args.rates} --certify {args.certify} "
-                  f"--interval {args.interval}"]
+                  f"--interval {text}"]
         _emit(args, header, lines)
         return 0
+    if args.interval is not None:
+        raise UsageError("--interval applies only to --certify")
     if not args.ladder:
         raise UsageError("limit needs --ladder (or --certify)")
     if args.k is None:
         raise UsageError("limit --ladder needs --k")
     ladder = _number_list(args.ladder, int, "--ladder")
-    table = limit.convergence_diagnostics(args.k, ladder, rates, args.reps, args.seed)
+    reps = 10000 if args.reps is None else args.reps
+    table = limit.convergence_diagnostics(args.k, ladder, rates, reps, args.seed)
     header = [f"command: limit --rates {args.rates} --k {args.k} "
-              f"--ladder {args.ladder} --reps {args.reps}"]
+              f"--ladder {args.ladder} --reps {reps}"]
     _emit(args, header, table.csv_lines())
     return 0
 

@@ -562,8 +562,6 @@ class EmpiricalDistribution:
 
 def ks_statistic(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """Two-sample sup distance between empirical CDFs, in [0, 1]."""
-    if a.count == 0 or b.count == 0:
-        raise ValueError("need nonempty samples")
     xs = np.concatenate([a.samples, b.samples])
     return float(np.max(np.abs(a.cdf(xs) - b.cdf(xs))))
 

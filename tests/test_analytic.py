@@ -3,6 +3,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -253,8 +254,10 @@ class TestChainTransform:
         model = core.InputModel.exponential(1.0)
         with pytest.raises(ValueError, match="beyond the float range"):
             analytic.chain_transform(model, [1e308, 1e308])
-        # the float route (one rate) and the mpmath route (16 equal rates)
-        for rates in ([1e308], [1e307] * 16):
+        # the float route (one rate) and the mpmath route (24 equal rates)
+        assert analytic._error_bound(model, *analytic._subset_table([7e306] * 24))[0] \
+            > analytic._FLOAT_REL_TOL
+        for rates in ([1e308], [7e306] * 24):
             phi = analytic.chain_transform(model, rates)
             assert 0.0 < phi(1.0) <= 1.0
             with pytest.raises(ValueError, match="beyond the float range"):
@@ -444,12 +447,14 @@ class TestSubsetExpansion:
 
     def test_composites_match_per_point_loop(self):
         # a node step and chain transforms on both branches: float64 on
-        # distinct rates, mpmath on 14 unit rates (max |w| = 3432 > 2**10)
+        # distinct rates, mpmath on 24 unit rates (error bound B > 2**-30)
         rng = np.random.default_rng(17)
         model = _DIFF_INPUTS["det"]
+        assert analytic._error_bound(model, *analytic._subset_table([1.0] * 24))[0] \
+            > analytic._FLOAT_REL_TOL
         composites = [analytic.node_step(analytic.transform_of_input(model), 1.7),
                       analytic.chain_transform(model, rng.uniform(0.3, 4.0, size=6)),
-                      analytic.chain_transform(model, [1.0] * 14)]
+                      analytic.chain_transform(model, [1.0] * 24)]
         for phi in composites:
             for length in (1, 4, 8):
                 rates = rng.uniform(0.3, 4.0, size=length)
@@ -510,7 +515,7 @@ def _array_cases():
         yield f"{name}-law", base
         yield f"{name}-node_step", analytic.node_step(base, 1.7)
         yield f"{name}-chain-float", analytic.chain_transform(model, rates)
-        yield f"{name}-chain-mpmath", analytic.chain_transform(model, [1.0] * 14)
+        yield f"{name}-chain-mpmath", analytic.chain_transform(model, [1.0] * 24)
 
 
 _ARRAY_CASES = dict(_array_cases())
@@ -519,8 +524,13 @@ _ARRAY_CASES = dict(_array_cases())
 class TestArrayCalls:
     @pytest.mark.parametrize("name", list(_ARRAY_CASES))
     def test_equals_scalar_calls(self, name):
-        # 4096 float sums take the 65 points in blocks of 16
+        # 4096 float sums take the 65 points in blocks of 16; 24 unit rates
+        # have an error bound above 2**-30, so they take the mpmath route
         phi = _ARRAY_CASES[name]
+        if name.endswith("-chain-mpmath"):
+            model = _EMP64 if name.startswith("emp") else _DIFF_INPUTS[name[:3]]
+            assert analytic._error_bound(model, *analytic._subset_table([1.0] * 24))[0] \
+                > analytic._FLOAT_REL_TOL
         got = phi(_ARRAY_POINTS)
         assert got.dtype == np.float64 and got.shape == _ARRAY_POINTS.shape
         assert np.array_equal(got, np.array([phi(x) for x in _ARRAY_POINTS]))
@@ -749,6 +759,94 @@ class TestMeanExtraction:
         phi = analytic.transform_of_input(core.InputModel.deterministic(1e-300))
         with pytest.raises(analytic.ConvergenceError):
             analytic.mean_from_transform(phi)
+
+
+# every chain x input of the two grids, and empirical(1000) through 16 unit
+# rates; with the wide mean chain on det(0.8), the two tables a cap on max |w|
+# sent to a route its error did not call for
+_ORACLE_CASES = {
+    **{f"{i}-{c}": (_DIFF_INPUTS[i], _DIFF_CHAINS[c]) for i in _DIFF_INPUTS for c in _DIFF_CHAINS},
+    **{f"mean-{i}-{c}": (_MEAN_INPUTS[i], _MEAN_CHAINS[c])
+       for i in _MEAN_INPUTS for c in _MEAN_CHAINS if _MEAN_CHAINS[c]},
+    "emp1000-equal16": (core.InputModel.empirical(np.random.default_rng(1000).gamma(2.0, 0.5, 1000)),
+                        [1.0] * 16),
+}
+
+_BENCH_DISTINCT14 = list(np.random.default_rng(14).uniform(0.3, 4.0, size=14))
+# (input, rates, float64?) for the tables of the tier-1 tests and the bench
+# (exponential(1) through n unit rates, and distinct chains of up to 14 rates
+# on the bench's three input families at their extreme parameters): every
+# table the former cap of 2**10 on max |w| summed in float64 stays there,
+# 16 equal rates move to float64, and the longer equal and linear chains
+# stay in mpmath
+_ROUTES = {
+    "distinct18": (_DIFF_INPUTS["exp"], list(np.random.default_rng(32).uniform(0.3, 4.0, size=18)),
+                   True),
+    "python-int": (_DIFF_INPUTS["exp"], [0.001, 10.0, 0.37], True),
+    "linear31": (core.InputModel.exponential(32.0), [float(r) for r in range(1, 32)], True),
+    "bench-distinct14-exp": (core.InputModel.exponential(2.0), _BENCH_DISTINCT14, True),
+    "bench-distinct14-det": (core.InputModel.deterministic(0.3), _BENCH_DISTINCT14, True),
+    "bench-distinct14-emp": (_EMP64, _BENCH_DISTINCT14, True),
+    **{f"bench-equal{n}": (core.InputModel.exponential(1.0), [1.0] * n, n <= 16)
+       for n in (8, 16, 32, 64)},
+    "equal24": (_DIFF_INPUTS["det"], _DIFF_CHAINS["equal24"], False),
+    "linear63": (core.InputModel.exponential(64.0), [float(r) for r in range(1, 64)], False),
+}
+
+
+class TestErrorBound:
+    @pytest.mark.parametrize("name", list(_ORACLE_CASES))
+    def test_float_route_within_its_bound(self, name):
+        # the route, seen by whether an evaluation calls mpmath, is float64
+        # exactly when B <= 2**-30, and a float64 value is within B of the
+        # reference, down to the mean's read at 2**-64; the 2**31 subsets of
+        # rates 1..31 are folded on the integer grid instead
+        model, rates = _ORACLE_CASES[name]
+        reference = _mp_grid_reference if name.endswith("linear31") else _mp_chain_reference
+        bound, _ = analytic._error_bound(model, *analytic._subset_table(rates))
+        phi = analytic.chain_transform(model, rates)
+        with mock.patch.object(mpmath, "log", wraps=mpmath.log) as log:
+            phi(1.0)
+        assert log.called == (bound > analytic._FLOAT_REL_TOL), (name, bound)
+        if not log.called:
+            _assert_matches_reference(phi, model, rates, _DIFF_GRID + (2.0 ** -64,), bound,
+                                      reference=reference)
+
+    @pytest.mark.parametrize("name", list(_ROUTES))
+    def test_routes(self, name):
+        model, rates, in_float = _ROUTES[name]
+        bound, _ = analytic._error_bound(model, *analytic._subset_table(rates))
+        assert (bound <= analytic._FLOAT_REL_TOL) == in_float, bound
+
+    def test_underflowing_law_is_infinite_bound(self):
+        # phi_in(1e-10) of exp(1e308) is subnormal: B is infinite with no
+        # RuntimeWarning, and the mpmath route answers at points near 0
+        model = core.InputModel.exponential(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound, bits = analytic._error_bound(model, *analytic._subset_table([1e-10, 2.0]))
+            assert bound == math.inf and 85 < bits < 200
+            phi = analytic.chain_transform(model, [1e-10, 2.0])
+            _assert_matches_reference(phi, model, [1e-10, 2.0], (1e-300, 1.0), 1e-15)
+
+    def test_huge_weight_sum_needs_no_float(self):
+        # sum |w| = 2**2000 - 1 is far past the float range
+        model = core.InputModel.exponential(1.0)
+        bound, bits = analytic._error_bound(model, *analytic._subset_table([1.0] * 2000))
+        assert bound == math.inf and 2000 + 85 < bits < 2000 + 100
+
+    @pytest.mark.parametrize("fn, ref", [(np.log, mpmath.log), (np.expm1, mpmath.expm1)],
+                             ids=["log", "expm1"])
+    def test_function_units_cover_numpy(self, fn, ref):
+        # the bound charges _FN_UNITS units of 2**-53 to each call
+        rng = np.random.default_rng(53)
+        xs = np.concatenate((rng.uniform(0.0, 1.0, 500), np.exp(rng.uniform(-700.0, 0.0, 500))))
+        if fn is np.expm1:
+            xs = -np.concatenate((xs, rng.uniform(1.0, 40.0, 500)))
+        with mpmath.workprec(120):
+            worst = max(abs((got - ref(mpmath.mpf(x))) / ref(mpmath.mpf(x)))
+                        for x, got in zip(xs.tolist(), fn(xs).tolist()))
+            assert worst <= mpmath.ldexp(analytic._FN_UNITS, -53), worst
 
 
 class TestPermanentReduce:

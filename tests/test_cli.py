@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,15 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the ``onoffchain`` lines in README's "Command
+    line" block, trailing comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("onoffchain ")]
 
 
 class TestSpecParsing:
@@ -210,6 +221,31 @@ class TestCommands:
         k20 = rows[1].split(",")
         assert k20[0] == "20" and 0.0 < float(k20[4]) < 1.0
         assert float(rows[2].split(",")[4]) > float(k20[4])
+
+    def test_limit_headers_echo_the_defaults(self, capsys):
+        _, out, _ = run_cli(["limit", "--rates", "linear:1", "--certify", "20"], capsys)
+        assert "# command: limit --rates linear:1 --certify 20 --interval 0,1" in out.splitlines()
+        _, out, _ = run_cli(["limit", "--rates", "linear:1", "--k", "1", "--ladder", "2"], capsys)
+        assert "# command: limit --rates linear:1 --k 1 --ladder 2 --reps 10000" in out.splitlines()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--certify", "20", "--ladder", "4,8"], "--ladder"),
+        (["--certify", "20", "--reps", "100"], "--reps"),
+        (["--k", "1", "--ladder", "4,8", "--interval", "0,1"], "--interval"),
+    ], ids=["ladder-certify", "reps-certify", "interval-ladder"])
+    def test_limit_refuses_flags_that_do_not_apply(self, capsys, argv, flag):
+        # --certify 20 --ladder 4,8 exited 0 and dropped --ladder from its header
+        code, out, err = run_cli(["limit", "--rates", "linear:1"] + argv, capsys)
+        assert code == 1 and out == ""
+        assert f"usage error: {flag} applies only to" in err
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_readme_commands_run(self, argv, tmp_path, capsys):
+        # each command of the README as written, its artifact under tmp_path
+        target = tmp_path / "artifact.txt"
+        code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text().startswith("# onoffchain ")
 
     def test_frozen_report(self, capsys):
         code, out, _ = run_cli(
