@@ -280,10 +280,8 @@ def _cmd_transform(args) -> int:
     lines = ["s,phi"]
     lines.extend(f"{s!r},{phi(s)!r}" for s in grid)
     mean = analytic.mean_from_transform(phi)
-    # mean_from_transform's reads at 2^-64 and 2^-63 agree within 1e-8
-    # relative, which bounds its error; nine significant digits add 5e-9
     header = [f"command: transform --rates {args.rates} --input {args.input}",
-              f"mean: {mean:#.9g}",
+              f"mean: {mean!r}",
               "tolerance: mean 1e-8 relative"]
     _emit(args, header, lines)
     return 0

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations
 
 __all__ = [
@@ -156,10 +157,6 @@ class BlockedCandidate:
             return i in self.described
         return self.tail_all_blocked
 
-    def describe(self) -> str:
-        texts = _candidate_texts(map(str, sorted(self.described)), self.horizon)
-        return texts[self.tail_all_blocked]
-
 
 def _candidate_texts(labels, horizon: int) -> tuple[str, str]:
     """``{1,3}+unblocked>4`` and ``{1,3}+blocked>4``, the candidates with the
@@ -193,22 +190,11 @@ def _larger_later(seq: ThresholdSequence, i: int) -> int | None:
     return None
 
 
-class _RightRecords(dict):
-    """``_larger_later`` answers keyed by index, computed when first asked."""
-
-    def __init__(self, seq: ThresholdSequence):
-        super().__init__()
-        self.seq = seq
-
-    def __missing__(self, i: int) -> int | None:
-        j = self[i] = _larger_later(self.seq, i)
-        return j
-
-
-def _decide(seq: ThresholdSequence, later: _RightRecords, blocked: tuple[int, ...],
+def _decide(seq: ThresholdSequence, later, blocked: tuple[int, ...],
             horizon: int, tail_all_blocked: bool) -> tuple[int | None, str]:
     """Witness and reason for the candidate with ascending blocked indices
     ``blocked`` within 1..horizon; the witness is None if the rule holds there.
+    ``later(i)`` is ``_larger_later(seq, i)``, memoized.
 
     The witness follows the four cases of the module docstring; both sides
     of the rule are then evaluated at it.
@@ -222,19 +208,19 @@ def _decide(seq: ThresholdSequence, later: _RightRecords, blocked: tuple[int, ..
         # refused on the same candidates with the same message
         j = horizon + 1
         while j is not None:
-            j = later[j]
-        if len(blocked) > 1 or (blocked and later[blocked[0]] is not None):
+            j = later(j)
+        if len(blocked) > 1 or (blocked and later(blocked[0]) is not None):
             i = blocked[0]
         else:
             i = blocked[0] + 1 if blocked else 1
-            while later[i] is not None:
+            while later(i) is not None:
                 i += 1
     stated = tail_all_blocked if i > horizon else i in blocked
     if tail_all_blocked:
         required, why = False, f"index {max(i, horizon) + 1} and beyond stay blocked"
     elif (k := bisect_right(blocked, i)) < len(blocked):
         required, why = False, f"index {blocked[k]} stays blocked"
-    elif (j := later[i]) is not None:
+    elif (j := later(i)) is not None:
         required, why = False, f"t_{j} = {seq.value(j)} exceeds t_{i} = {seq.value(i)}"
     else:
         required, why = True, f"every index beyond {i} is unblocked with a smaller threshold"
@@ -265,8 +251,8 @@ def check_candidate(seq: ThresholdSequence,
     call has its own memo of right records; the tests keep the
     index-by-index scan as the oracle.
     """
-    witness, reason = _decide(seq, _RightRecords(seq), tuple(sorted(cand.described)),
-                              cand.horizon, cand.tail_all_blocked)
+    witness, reason = _decide(seq, cache(partial(_larger_later, seq)),
+                              tuple(sorted(cand.described)), cand.horizon, cand.tail_all_blocked)
     return ConsistencyResult(witness is None, witness=witness, reason=reason)
 
 
@@ -303,7 +289,7 @@ def exhaustive_search(seq: ThresholdSequence, max_index: int) -> SearchReport:
     """
     if not 0 <= max_index <= _MAX_SEARCH_INDEX:
         raise ValueError(f"max_index must lie in 0..{_MAX_SEARCH_INDEX}")
-    later = _RightRecords(seq)
+    later = cache(partial(_larger_later, seq))
     rows = []
     consistent = []
     indices = range(1, max_index + 1)

@@ -27,15 +27,15 @@ tests keep as the oracle.
 
 ``sample_first_reception`` runs replications in one lockstep batch,
 reception by reception.  Replications join it in groups whenever half of it
-has ended, so it never runs out a chunk's slowest replications alone.  It
-draws block 0 of a group's streams at once, by a numpy Philox that matches
-the scalar draw bit for bit, and each later block when a stream reaches it,
-carrying the running sum on as ``simulate`` does, so both give the same
-floats; the streams are keyed, so a replication's floats do not depend on
-when it joined.  A stream holds only the block it is reading, and the rows
-of finished blocks and replications are reused.  A replication that would
-need a block past a fixed budget is rerun by the engine of ``simulate``,
-which then builds no log.
+has ended, so it never runs out a chunk's slowest replications alone.  A
+stream holds one window of 16 points of its current block, drawn straight
+from its counter: block 0 of a group's streams at once, by a numpy Philox
+that matches the scalar draw bit for bit, and each later window when a
+lookup passes the one before.  Carrying the block's running sum from window
+to window gives the floats of ``simulate``, and the streams are keyed, so a
+replication's floats do not depend on when it joined.  A replication that
+would need a block past a fixed budget is rerun by the engine of
+``simulate``, which then builds no log.
 """
 
 from __future__ import annotations
@@ -81,12 +81,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # One Philox/Generator pair per thread; streams are realized by injecting
-# (key, counter-block) state before each block draw.  Block index b of a
-# stream occupies counter word 2, so blocks own disjoint 2**128 counter
-# ranges and block 0 coincides with the plain keyed stream.  The cached state
-# dict is a copy taken from the fresh generator: its other counter words, its
-# empty buffer (``buffer_pos`` 4) and its spare 32-bit word stay as they were,
-# so only the key and the block index are written.
+# (key, counter) state before each draw.  Block index b of a stream occupies
+# counter word 2, so blocks own disjoint 2**128 counter ranges and block 0
+# coincides with the plain keyed stream; counter word 0 = w / 4 starts a
+# draw at the w-th uniform of a block.  The cached state dict is a copy taken
+# from the fresh generator: its other counter words, its empty buffer
+# (``buffer_pos`` 4) and its spare 32-bit word stay as they were, so only the
+# key and counter words 0 and 2 are written.
 _local = threading.local()
 
 
@@ -102,16 +103,18 @@ def _machinery():
 
 
 def _draw_block(key0: int, key1: int, block: int, size: int) -> np.ndarray:
-    return _draw_blocks(key0, (key1,), block, np.empty((1, size)))[0]
+    return _draw_blocks(key0, (key1,), (block,), (0,), np.empty((1, size)))[0]
 
 
-def _draw_blocks(key0: int, key1s, block: int, out: np.ndarray) -> np.ndarray:
-    """Row i of ``out`` becomes block ``block`` of the stream (key0, key1s[i])."""
+def _draw_blocks(key0: int, key1s, blocks, starts, out: np.ndarray) -> np.ndarray:
+    """Row i of ``out`` becomes the uniforms of block blocks[i] of the stream
+    (key0, key1s[i]) from the starts[i]-th on, starts[i] a multiple of 4."""
     bitgen, gen, state, key, counter = _machinery()
     key[0] = key0
-    counter[2] = block
-    for row, key1 in zip(out, key1s):
+    for row, key1, block, start in zip(out, key1s, blocks, starts):
         key[1] = key1
+        counter[0] = start >> 2
+        counter[2] = block
         bitgen.state = state
         gen.random(out=row)
     return out
@@ -198,17 +201,11 @@ class _KeyedStream:
     def next_block(self) -> np.ndarray:
         draws = _draw_block(self._k0, self._k1, self._block, _block_size(self._block))
         self._block += 1
-        pts = _continued(self._gap(draws), self._last)   # the gaps: a new array, or the draws
+        pts = self._gap(draws)        # the gaps: a new array, or the draws
+        np.cumsum(pts, out=pts)
+        pts += self._last               # the point before the block
         self._last = pts[-1]
         return pts
-
-
-def _continued(gaps: np.ndarray, last) -> np.ndarray:
-    """The running sums of ``gaps`` along each row plus ``last``, the point
-    before the block, in place."""
-    np.cumsum(gaps, axis=-1, out=gaps)
-    gaps += last
-    return gaps
 
 
 def _cover(stream: _KeyedStream, pts: np.ndarray, t: float) -> np.ndarray:
@@ -633,11 +630,12 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 # Monte Carlo harnesses
 # ---------------------------------------------------------------------------
 
-# The batched kernel runs one batch of replications whose streams hold about
-# _CHUNK_POINTS live points: a stream keeps only the row of the block it is
-# reading, and released rows are reused.  Whenever half the batch has ended
-# it admits a group, drawing their block 0 _PHILOX_SLICE streams at a time;
-# each later block, up to block _LAST_BLOCK, is drawn when a stream needs it.
+# The batched kernel runs one batch of replications whose streams hold
+# _CHUNK_POINTS live points, one window of _FIRST_BLOCK points a stream, and
+# the rows of ended replications are reused.  Whenever half the batch has
+# ended it admits a group, drawing their block 0 _PHILOX_SLICE streams at a
+# time; each later window, up to the end of block _LAST_BLOCK, is drawn when
+# a lookup passes the one before.
 _CHUNK_POINTS = 2 ** 17
 _PHILOX_SLICE = 2 ** 10
 _LAST_BLOCK = 4
@@ -677,19 +675,14 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
     ins = None
     if not config.input.is_permanent:
         ins = _StreamBatch(seed, lambda u, s: config.input.quantile(u))
+    size = max(1, _CHUNK_POINTS // (_FIRST_BLOCK * (n + (ins is not None))))
     out = np.empty(reps, dtype=np.float64)
     # rep[r]: the replication in row r; rec[r, j]: when its node lo + j last
     # turned or next turns on, so the node is on at t iff rec <= t
     rep, rec = np.empty(0, dtype=np.int64), np.empty((0, n))
-    rerun, admitted, peak = [], 0, 0
-    # the first group guesses 64 points per stream; each later admission
-    # rescales the batch by the budget over the most live points it held
-    # since the admission before
-    size = max(1, _CHUNK_POINTS // (4 * _FIRST_BLOCK * n))
+    rerun, admitted = [], 0
     while len(rep) or admitted < reps:
         if admitted < reps and len(rep) <= size // 2:
-            if peak:
-                size, peak = max(1, size * _CHUNK_POINTS // peak), 0
             new = np.arange(admitted, min(reps, admitted + size - len(rep)))
             admitted += len(new)
             key1 = new.astype(np.uint64) << _SH32
@@ -708,7 +701,6 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
         out[rep[done]] = t[done]
         r, k = np.nonzero(swept & ~done[:, None])
         rec[r, k] = recs.after(r * n + k, t[r], np.less_equal)
-        peak = max(peak, recs.points + (0 if ins is None else ins.points))
         # a stream that ran out leaves NaN, at admission or in this step
         spill = np.isnan(t) | np.isnan(rec).any(axis=1)
         rerun.append(rep[spill])
@@ -724,108 +716,107 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
 
 
 class _StreamBatch:
-    """Keyed streams ``(seed, key)`` read block by block as ``_KeyedStream``
-    reads one; stream s is the s-th of the batch, counting only streams that
-    are still kept.
+    """Keyed streams ``(seed, key)`` read as ``_KeyedStream`` reads one;
+    stream s is the s-th of the batch, counting only streams that are still
+    kept.
 
-    ``admit`` draws block 0 of new streams by ``_philox_uniforms``.  When a
-    lookup passes the end of a stream's block b, block b + 1 is drawn by
-    ``_draw_blocks`` and its running sum goes on from block b's last point.
-    The rows of one block index share a store, so lookups are grouped by
-    block index.  A stream holds one row, that of the block it is reading:
-    its row of block b is released once block b + 1 has been continued from
-    it, and its last row when ``keep`` drops it.  A store fills released
-    rows before it grows.  ``gap(u, s)`` maps the uniforms of streams ``s``,
-    one row each, to gaps.
+    A stream holds one row of ``_FIRST_BLOCK`` points, the window of the
+    uniforms w .. w + 15 of its block b (w a multiple of 16): ``admit``
+    draws block 0 by ``_philox_uniforms``, and a lookup past a window's end
+    overwrites its row with the next window, drawn by ``_draw_blocks``.  A
+    block's points are its base, the point before it, plus the running sums
+    of its gaps, so a stream carries the base and the sum to its window's
+    end, and its points are those of ``_KeyedStream``, bit for bit.  Rows of
+    dropped streams are reused before the one store grows.  ``gap(u, s)``
+    maps the uniforms of streams ``s``, one row each, to gaps.
     """
 
     def __init__(self, seed: int, gap):
         self._seed, self._gap = seed, gap
         self._keys = np.empty(0, dtype=np.uint64)
-        self._block = np.empty(0, dtype=np.intp)
-        self._slot = np.empty(0, dtype=np.intp)
-        self._stores = [np.empty((0, _block_size(b))) for b in range(_LAST_BLOCK + 1)]
-        self._fill = [0] * (_LAST_BLOCK + 1)
-        self._free = [np.empty(0, dtype=np.intp) for _ in range(_LAST_BLOCK + 1)]
-        self.points = 0          # in the rows the streams hold
+        # per stream: its block b, its window's first uniform w, its row, the
+        # point before the block and the block's gap sum to the window's end
+        self._block, self._start, self._slot = (np.empty(0, dtype=np.intp) for _ in range(3))
+        self._base, self._sum = np.empty(0), np.empty(0)
+        self._rows, self._fill = np.empty((0, _FIRST_BLOCK)), 0
+        self._free = np.empty(0, dtype=np.intp)
 
     def admit(self, keys: np.ndarray) -> np.ndarray:
         """Add the streams ``keys`` at block 0; return their indices."""
-        s = np.arange(len(self._keys), len(self._keys) + len(keys))
-        u = np.empty((len(keys), _FIRST_BLOCK))
-        for i in range(0, len(keys), _PHILOX_SLICE):
+        m, fill, free = len(keys), self._fill, self._free
+        s = np.arange(len(self._keys), len(self._keys) + m)
+        u = np.empty((m, _FIRST_BLOCK))
+        for i in range(0, m, _PHILOX_SLICE):
             u[i:i + _PHILOX_SLICE] = _philox_uniforms(self._seed, keys[i:i + _PHILOX_SLICE],
                                                       0, _FIRST_BLOCK)
-        self._keys = np.concatenate((self._keys, keys))
-        self._block = np.concatenate((self._block, np.zeros(len(keys), dtype=np.intp)))
-        self._slot = np.concatenate((self._slot, self._append(0, _continued(self._gap(u, s), 0.0))))
+        grow = max(0, m - len(free))
+        if fill + grow > len(self._rows):
+            # in place, so the old rows are not held twice; no view of the
+            # store outlives a call
+            self._rows.resize((max(len(self._rows) * 5 // 4, fill + grow), _FIRST_BLOCK),
+                              refcheck=False)
+        self._free, self._fill = free[m:], fill + grow
+        slots = np.concatenate((free[:m], np.arange(fill, fill + grow)))
+        zeros = np.zeros(m, dtype=np.intp)
+        self._keys, self._block, self._start, self._slot, self._base, self._sum = (
+            np.concatenate(pair) for pair in (
+                (self._keys, keys), (self._block, zeros), (self._start, zeros),
+                (self._slot, slots), (self._base, np.zeros(m)), (self._sum, np.zeros(m))))
+        self._write(s, u)
         return s
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the streams where ``mask`` is false, releasing their rows;
         the kept streams are renumbered in order."""
-        block, slot = self._block[~mask], self._slot[~mask]
-        for b in np.flatnonzero(np.bincount(block)).tolist():
-            self._release(b, slot[block == b])
-        self._keys, self._block, self._slot = self._keys[mask], self._block[mask], self._slot[mask]
+        self._free = np.concatenate((self._free, self._slot[~mask]))
+        self._keys, self._block, self._start, self._slot, self._base, self._sum = (
+            a[mask] for a in (self._keys, self._block, self._start, self._slot, self._base,
+                              self._sum))
 
     def after(self, s: np.ndarray, t: np.ndarray, before) -> np.ndarray:
         """The first point p of each stream s[i] with ``not before(p, t[i])``,
-        drawing later blocks as needed; NaN where that is past block
+        drawing later windows as needed; NaN where that is past block
         ``_LAST_BLOCK``.  ``np.less_equal`` gives the first point after t,
         ``np.less`` the first point at or after t."""
         out = np.full(len(s), np.nan)
         todo = np.arange(len(s))
         while len(todo):
-            block = self._block[s[todo]]
-            ended = []
-            for b in np.flatnonzero(np.bincount(block)).tolist():
-                g = todo[block == b]
-                pts = self._stores[b][self._slot[s[g]]]
-                pos = before(pts, t[g, None]).sum(axis=1)
-                hit = pos < pts.shape[1]
-                out[g[hit]] = pts[hit, pos[hit]]
-                ended.append(g[~hit])
-            todo = np.concatenate(ended)
+            pts = self._rows[self._slot[s[todo]]]
+            pos = before(pts, t[todo, None]).sum(axis=1)
+            hit = pos < _FIRST_BLOCK
+            out[todo[hit]] = pts[hit, pos[hit]]
+            todo = todo[~hit]
             if len(todo):
-                todo = todo[self._next_blocks(s[todo])]
+                todo = todo[self._advance(s[todo])]
         return out
 
-    def _next_blocks(self, s: np.ndarray) -> np.ndarray:
-        """Draw the next block of each stream s[i] not yet at block
-        ``_LAST_BLOCK``; return which ones were drawn."""
-        drawn = self._block[s] < _LAST_BLOCK
-        s = s[drawn]
-        block = self._block[s]
-        for b in np.flatnonzero(np.bincount(block)).tolist():
-            g = s[block == b]
-            u = _draw_blocks(self._seed, self._keys[g].tolist(), b + 1,
-                             np.empty((len(g), _block_size(b + 1))))
-            old = self._slot[g]
-            u = _continued(self._gap(u, g), self._stores[b][old, -1:])
-            self._release(b, old)
-            self._slot[g] = self._append(b + 1, u)
-            self._block[g] = b + 1
-        return drawn
+    def _advance(self, s: np.ndarray) -> np.ndarray:
+        """Move each stream s[i] to its next window, unless it ends block
+        ``_LAST_BLOCK``; return which ones moved."""
+        block, start = self._block[s], self._start[s] + _FIRST_BLOCK
+        ended = start == np.minimum(_FIRST_BLOCK << 2 * block, _MAX_BLOCK)
+        moved = ~ended | (block < _LAST_BLOCK)
+        s, block, start, ended = s[moved], block[moved], start[moved], ended[moved]
+        # the next block goes on from the last point of this one
+        e = s[ended]
+        self._base[e], self._sum[e] = self._rows[self._slot[e], -1], 0.0
+        block[ended] += 1
+        start[ended] = 0
+        self._block[s], self._start[s] = block, start
+        u = _draw_blocks(self._seed, self._keys[s].tolist(), block.tolist(), start.tolist(),
+                         np.empty((len(s), _FIRST_BLOCK)))
+        self._write(s, u)
+        return moved
 
-    def _release(self, b: int, slots: np.ndarray) -> None:
-        self._free[b] = np.concatenate((self._free[b], slots))
-        self.points -= len(slots) * _block_size(b)
-
-    def _append(self, b: int, pts: np.ndarray) -> np.ndarray:
-        """Store rows ``pts`` of block b, in released rows first; return
-        their slots."""
-        store, fill, free = self._stores[b], self._fill[b], self._free[b]
-        grow = max(0, len(pts) - len(free))
-        if fill + grow > len(store):
-            # in place, so the old rows are not held twice; no view of a
-            # store outlives a call
-            store.resize((max(len(store) * 5 // 4, fill + grow), store.shape[1]), refcheck=False)
-        slots = np.concatenate((free[:len(pts)], np.arange(fill, fill + grow)))
-        self._free[b], self._fill[b] = free[len(pts):], fill + grow
-        store[slots] = pts
-        self.points += pts.size
-        return slots
+    def _write(self, s: np.ndarray, u: np.ndarray) -> None:
+        """Carry the running sums of streams s on by the gaps of the
+        uniforms ``u``, one window a row, and store the window's points."""
+        gaps = self._gap(u, s)
+        gaps[:, 0] += self._sum[s]
+        np.cumsum(gaps, axis=1, out=gaps)
+        self._sum[s] = gaps[:, -1]
+        gaps += self._base[s, None]
+        self._rows[self._slot[s]] = gaps
 
 
 def sample_interreception(config: SystemConfig, node: int, gap_count: int,

@@ -299,18 +299,22 @@ class TestBatchedKernel:
             sim.sample_first_reception(unit_chain(2, core.InputModel.permanent()), 1, reps, seed)
 
     def test_peak_memory_flat_in_reps(self):
-        cfg = unit_chain(2, core.InputModel.permanent())
-        chunk = sim._CHUNK_POINTS // (2 * sim._FIRST_BLOCK)
-        peaks = []
-        for reps in (2 * chunk, 10 * chunk):
-            tracemalloc.start()
-            try:
-                sim.sample_first_reception(cfg, 1, reps, seed=8)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # the output array and its sorted copy, 16 bytes per replication
-        assert peaks[1] - peaks[0] <= 16 * 8 * chunk + 2**16
+        # under exponential input the input stream joins the n recovery
+        # streams of a replication, and all of them set the batch size
+        for model, streams in ((core.InputModel.permanent(), 2),
+                               (core.InputModel.exponential(1.0), 3)):
+            cfg = unit_chain(2, model)
+            chunk = sim._CHUNK_POINTS // (streams * sim._FIRST_BLOCK)
+            peaks = []
+            for reps in (2 * chunk, 10 * chunk):
+                tracemalloc.start()
+                try:
+                    sim.sample_first_reception(cfg, 1, reps, seed=8)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # the output array and its sorted copy, 16 bytes per replication
+            assert peaks[1] - peaks[0] <= 16 * 8 * chunk + 2**16, model
 
     def test_ladder_rung_peak_memory(self):
         # the batch holds about the point budget whatever the replication
@@ -334,7 +338,10 @@ class TestBatchedKernel:
     def test_truncation_ladder_in_lockstep(self, monkeypatch, k, l, reps, seed):
         # the reduced chains that limit.sample_truncation_law samples read
         # later blocks of nearly every input stream and of the fast nodes'
-        # recovery streams; none of their replications leaves the kernel
+        # recovery streams; none of their replications leaves the kernel.
+        # A budget of 2**15 points admits 64 rows of the l = 32 rung, so its
+        # 100 replications join in two groups
+        monkeypatch.setattr(sim, "_CHUNK_POINTS", 2**15)
         cfg = analytic.permanent_reduce(core.SystemConfig(
             k, l, core.RateSchedule.linear(1.0), core.InputModel.permanent()))
         reruns, groups = [], {}
@@ -378,32 +385,37 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("kind", ["recovery", "exp-input", "empirical-input"])
     def test_later_blocks_continue_keyed_streams(self, monkeypatch, kind):
-        # the points a lookup reads in block b = 1..3 are those of the b-th
-        # next_block() of the same stream read alone, bit for bit
-        monkeypatch.setattr(sim, "_LAST_BLOCK", 3)
+        # the points a lookup reads in block b = 1..4 are those of the b-th
+        # next_block() of the same stream read alone, bit for bit: every
+        # point with a budget of blocks 0 to 3, and every 37th at the default
+        # budget, where one lookup skips windows and crosses blocks
         seed, reps = 2**64 - 1, 5
         plans = [sim.RandomnessPlan(seed, r) for r in range(reps)]
         if kind == "recovery":
             keys = [plan.recovery_key(4) for plan in plans]
-            streams = [sim._recovery_stream(plan, 4, 2.5) for plan in plans]
+            stream = lambda i: sim._recovery_stream(plans[i], 4, 2.5)
             gap = lambda u, s: sim._exp_gaps(u, 2.5)
         else:
             model = (core.InputModel.exponential(1.7) if kind == "exp-input"
                      else core.InputModel.empirical([0.1, 0.5, 2.0]))
             keys = [plan.input_key() for plan in plans]
-            streams = [sim._KeyedStream(key, model.quantile) for key in keys]
+            stream = lambda i: sim._KeyedStream(keys[i], model.quantile)
             gap = lambda u, s: model.quantile(u)
-        batch = sim._StreamBatch(seed, gap)
-        every = batch.admit(np.array([k1 for _, k1 in keys], dtype=np.uint64))
-        want = np.concatenate([np.array([stream.next_block() for stream in streams])
-                               for _ in range(4)], axis=1)
-        got = np.empty_like(want)
-        t = np.full(reps, -np.inf)
-        for j in range(want.shape[1]):
-            got[:, j] = t = batch.after(every, t, np.less_equal)
-        assert np.array_equal(bits(got), bits(want))
-        # past block 3 the batch refuses
-        assert np.isnan(batch.after(every, t, np.less_equal)).all()
+        for last, stride in ((sim._LAST_BLOCK, 37), (3, 1)):
+            monkeypatch.setattr(sim, "_LAST_BLOCK", last)
+            streams = [stream(i) for i in range(reps)]
+            want = np.concatenate([np.array([s.next_block() for s in streams])
+                                   for _ in range(last + 1)], axis=1)
+            before = np.concatenate((np.full((reps, 1), -np.inf), want), axis=1)
+            batch = sim._StreamBatch(seed, gap)
+            every = batch.admit(np.array([k1 for _, k1 in keys], dtype=np.uint64))
+            cols = np.arange(stride - 1, want.shape[1], stride)
+            got = np.empty((reps, len(cols)))
+            for j, col in enumerate(cols):
+                got[:, j] = batch.after(every, before[:, col], np.less_equal)
+            assert np.array_equal(bits(got), bits(want[:, cols]))
+            # past block last the batch refuses
+            assert np.isnan(batch.after(every, want[:, -1], np.less_equal)).all()
 
 
 _ORACLE_RATES = {
