@@ -533,48 +533,47 @@ def _two_atanh_inv(m: int, w: int) -> tuple[int, int]:
     """2 atanh(1/m) = sum_k 2 / ((2k + 1) m^(2k + 1)) for m >= 3, in
     units of 2^-w, rounded down, with a bound on its error in those units.
 
-    Every division rounds down, so the result is never too large.  The
-    running power 2^(w+1) / m^(2k+1) is short of its true value by less
-    than 1 at k = 0 and by less than 1 / (1 - 1/m^2) <= 9/8 after, so of
-    the K terms summed the first is short by less than 1 unit and term k by
-    less than 9/8 / (2k + 1) + 1 < 2 units.  The series stops at the first
-    power that is 0 (K >= 1, as 2^(w+1) > m), whose true value is then
-    below 9/8; the tail from there is below (9/8)^2 / 3 < 1 unit.  The
-    error is below 2K + 1.
+    Its first K = floor(w / (2 (bit_length(m) - 1))) + 1 terms are summed
+    exactly by binary splitting, as 2m T / (B Q) with B = prod (2k + 1) and
+    Q = m^(2K), and rounded down once.  As m^(2K) > 2^w, the tail is below
+    2 / ((2K + 1) m (1 - 1/m^2)) < 1 unit, and so is the rounding: the
+    result is never too large and short by less than 2 units.
     """
-    power = (1 << (w + 1)) // m
     m2 = m * m
-    total = k = 0
-    while power:
-        total += power // (2 * k + 1)
-        power //= m2
-        k += 1
-    return total, 2 * k + 1
+
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        # sum_(a <= k < b) 1 / ((2k + 1) m^(2(k - a + 1))) = T / (B Q)
+        if b - a == 1:
+            return 2 * a + 1, m2, 1
+        (b1, q1, t1), (b2, q2, t2) = split(a, (a + b) // 2), split((a + b) // 2, b)
+        return b1 * b2, q1 * q2, t1 * b2 * q2 + b1 * t2
+
+    b, q, t = split(0, w // (2 * (m.bit_length() - 1)) + 1)
+    return (t * m << (w + 1)) // (b * q), 2
 
 
 def _log_table(spf: list[int], w: int) -> dict[int, tuple[int, int]]:
     """ln p in units of 2^-w, and a bound on its error in those units, for
-    the primes p <= len(spf) - 1.
+    p = 2 and the odd primes p whose p + 1 the sieve ``spf`` reaches.
 
     ln 2 = 2 atanh(1/3), and for an odd prime p,
-    ln p = ln(p - 1) + 2 atanh(1/(2p - 1)), where ln(p - 1) is summed from
-    the entries of the smaller primes over the factorization of p - 1.  An
-    entry's bound is that of its series plus the bounds of the entries it
-    sums, each counted with its multiplicity.
+    2 ln p = ln(p - 1) + ln(p + 1) + 2 atanh(1/(2p^2 - 1)), where
+    ln(p - 1) and ln(p + 1) are summed from the entries of the smaller
+    primes over their factorizations.  If the bounds of the series and of
+    the entries summed, each counted with its multiplicity, add up to D,
+    2 ln p is short by less than D, and halving it, rounded down, leaves
+    ln p short by less than D / 2 + 1/2 <= D // 2 + 1, never too large.
     """
-    table = {}
-    for p in range(2, len(spf)):
+    table = {2: _two_atanh_inv(3, w)}
+    for p in range(3, len(spf) - 1):
         if spf[p] != p:
             continue
-        value, bound = _two_atanh_inv(2 * p - 1, w)
-        k = p - 1
-        while k > 1:
-            q = spf[k]
-            k //= q
-            lq, eq = table[q]
-            value += lq
-            bound += eq
-        table[p] = (value, bound)
+        value, bound = _two_atanh_inv(2 * p * p - 1, w)
+        for k in (p - 1, p + 1):
+            while k > 1:
+                q = spf[k]
+                k, value, bound = k // q, value + table[q][0], bound + table[q][1]
+        table[p] = (value >> 1, bound // 2 + 1)
     return table
 
 
@@ -584,17 +583,18 @@ def exact_mean_equal_rates(n: int, precision_bits: int | None = None) -> HighPre
 
     The mean is prod_k k^((-1)^k C(n, k)) = prod_p p^(e_p), with the exact
     integer exponents that :func:`_prime_exponents` reads off the subset
-    table of n unit rates, so it is exp(sum_p e_p ln p).  The logarithms come from the integer table of
-    :func:`_log_table` at w = ``precision_bits + n + 64`` fractional bits:
-    the sum S = sum_p e_p L_p is exact, and its error is below
-    B = sum_p |e_p| E_p units of 2^-w, E_p being the bound of entry p.  An
-    absolute error in the sum is a relative error in the mean, and the
-    alternating sum cancels about n bits (|e_p| reaches about 2^n), which
-    the n in w pays for.  A bound B 2^-w of 2^-(precision_bits + 32) or
-    more is refused with PrecisionError; otherwise exp(S 2^-w) is taken at
+    table of n unit rates, so it is exp(sum_p e_p ln p).  The logarithms
+    come from the integer table of :func:`_log_table`, on a sieve to n + 1,
+    at w = ``precision_bits + n + 64`` fractional bits: each entry sums
+    series rounded once, and the sum S = sum_p e_p L_p is exact, with an
+    error below B = sum_p |e_p| E_p units of 2^-w, E_p being the bound of
+    entry p (B stays below 2^(n+5) up to n = 4096).  An absolute error in
+    the sum is a relative error in the mean, and the alternating sum cancels
+    about n bits (|e_p| reaches about 2^n), which the n in w pays for.  A
+    bound B 2^-w of 2^-(precision_bits + 32) or more is refused with
+    PrecisionError; otherwise exp(S 2^-w) is taken at
     ``precision_bits + n + 32`` bits and rounded to the requested precision.
-    Requests below n + 64 bits are refused.  Results are cached by
-    (n, bits).
+    Requests below n + 64 bits are refused.  Results are cached by (n, bits).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -611,7 +611,7 @@ def exact_mean_equal_rates(n: int, precision_bits: int | None = None) -> HighPre
 
 @functools.lru_cache(maxsize=128)
 def _exact_mean(n: int, precision_bits: int) -> HighPrecisionReal:
-    spf = _smallest_prime_factors(n)
+    spf = _smallest_prime_factors(n + 1)
     w = precision_bits + n + _GUARD_BITS + _LOG_SLACK_BITS
     logs = _log_table(spf, w)
     total = bound = 0

@@ -633,9 +633,9 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 # The batched kernel runs one batch of replications whose streams hold
 # _CHUNK_POINTS live points, one window of _FIRST_BLOCK points a stream, and
 # the rows of ended replications are reused.  Whenever half the batch has
-# ended it admits a group, drawing their block 0 _PHILOX_SLICE streams at a
-# time; each later window, up to the end of block _LAST_BLOCK, is drawn when
-# a lookup passes the one before.
+# ended it admits a group, drawing their block 0 into the store and reading
+# their first points _PHILOX_SLICE streams at a time; each later window, up
+# to the end of block _LAST_BLOCK, is drawn when a lookup passes the one before.
 _CHUNK_POINTS = 2 ** 17
 _PHILOX_SLICE = 2 ** 10
 _LAST_BLOCK = 4
@@ -689,7 +689,9 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
             cells = recs.admit((key1[:, None] | slots).ravel())
             if ins is not None:
                 ins.admit(key1)
-            first = recs.after(cells, np.zeros(len(cells)), np.less_equal)
+            first = np.concatenate([
+                recs.after(c, np.zeros(len(c)), np.less_equal)
+                for c in np.split(cells, range(_PHILOX_SLICE, len(cells), _PHILOX_SLICE))])
             rep, rec = np.concatenate((rep, new)), np.concatenate((rec, first.reshape(-1, n)))
         rows = np.arange(len(rep))
         t = rec[:, -1].copy()
@@ -745,10 +747,6 @@ class _StreamBatch:
         """Add the streams ``keys`` at block 0; return their indices."""
         m, fill, free = len(keys), self._fill, self._free
         s = np.arange(len(self._keys), len(self._keys) + m)
-        u = np.empty((m, _FIRST_BLOCK))
-        for i in range(0, m, _PHILOX_SLICE):
-            u[i:i + _PHILOX_SLICE] = _philox_uniforms(self._seed, keys[i:i + _PHILOX_SLICE],
-                                                      0, _FIRST_BLOCK)
         grow = max(0, m - len(free))
         if fill + grow > len(self._rows):
             # in place, so the old rows are not held twice; no view of the
@@ -762,7 +760,9 @@ class _StreamBatch:
             np.concatenate(pair) for pair in (
                 (self._keys, keys), (self._block, zeros), (self._start, zeros),
                 (self._slot, slots), (self._base, np.zeros(m)), (self._sum, np.zeros(m))))
-        self._write(s, u)
+        for i in range(0, m, _PHILOX_SLICE):     # each slice straight into the store
+            self._write(s[i:i + _PHILOX_SLICE],
+                        _philox_uniforms(self._seed, keys[i:i + _PHILOX_SLICE], 0, _FIRST_BLOCK))
         return s
 
     def keep(self, mask: np.ndarray) -> None:

@@ -951,6 +951,61 @@ def _mp_log_mean(n, bits):
         return +value
 
 
+def _term_by_term_two_atanh_inv(m, w):
+    """2 atanh(1/m) in units of 2^-w, one rounded-down term at a time, with
+    a bound on its error: the slow path that ``analytic._two_atanh_inv``'s
+    binary splitting is checked against.
+
+    The running power 2^(w+1) / m^(2k+1) is short of its true value by less
+    than 1 at k = 0 and by less than 1 / (1 - 1/m^2) <= 9/8 after, so term k
+    is short by less than 9/8 / (2k + 1) + 1 < 2 units.  The series stops at
+    the first power that is 0, whose true value is then below 9/8; the tail
+    from there is below (9/8)^2 / 3 < 1 unit.  The error is below 2K + 1.
+    """
+    power = (1 << (w + 1)) // m
+    m2 = m * m
+    total = k = 0
+    while power:
+        total += power // (2 * k + 1)
+        power //= m2
+        k += 1
+    return total, 2 * k + 1
+
+
+def _oracle_log_table(spf, w):
+    """ln p in units of 2^-w with its error bound, for the primes
+    p <= len(spf) - 1, by ln 2 = 2 atanh(1/3) and
+    ln p = ln(p - 1) + 2 atanh(1/(2p - 1)) with term-by-term series: the
+    slow path that ``analytic._log_table`` is checked against."""
+    table = {}
+    for p in range(2, len(spf)):
+        if spf[p] != p:
+            continue
+        value, bound = _term_by_term_two_atanh_inv(2 * p - 1, w)
+        k = p - 1
+        while k > 1:
+            q = spf[k]
+            k //= q
+            value += table[q][0]
+            bound += table[q][1]
+        table[p] = (value, bound)
+    return table
+
+
+def _oracle_table_mean(n, bits):
+    """The equal-rate mean as ``analytic._exact_mean`` computes it, with its
+    w, its exponential and its rounding, but from ``_oracle_log_table``."""
+    spf = analytic._smallest_prime_factors(n)
+    w = bits + n + 64
+    logs = _oracle_log_table(spf, w)
+    exponents = analytic._prime_exponents(*analytic._subset_table([1.0] * n)[:2], spf)
+    total = sum(e * logs[p][0] for p, e in exponents)
+    with mpmath.workprec(bits + n + 32):
+        value = mpmath.exp(mpmath.ldexp(total, -w))
+    with mpmath.workprec(bits):
+        return +value
+
+
 def _k_loop_fraction(n):
     """The equal-rate mean as prod_k k^((-1)^k C(n, k)), one factor per k."""
     num = den = 1
@@ -995,16 +1050,37 @@ class TestExactMeans:
                 cases += 1
         print(f"prime-exponent mean bit-equal to the direct sum in {bit_equal} of {cases} cases")
 
-    @pytest.mark.parametrize("w", [160, 2400])
+    @pytest.mark.parametrize("w", [160, 2400, 4224])
     def test_log_table_within_bounds(self, w):
         spf = analytic._smallest_prime_factors(2048)
         table = analytic._log_table(spf, w)
+        oracle = _oracle_log_table(spf, w)
         assert sorted(table) == [p for p in range(2, 2049) if spf[p] == p]
+        assert sorted(oracle) == sorted(table)
         with mpmath.workprec(w + 64):
             for p, (value, bound) in table.items():
                 exact = mpmath.ldexp(mpmath.log(p), w)
                 # every division rounds down, so an entry is never too large
                 assert 0 < exact - value < bound, (p, w)
+                assert 0 < exact - oracle[p][0] < oracle[p][1], (p, w)
+
+    def test_mean_matches_oracle_table(self):
+        # the binary-splitting table and the term-by-term one differ in their
+        # last units, which the guard bits keep out of the rounded mean
+        for n in list(range(1, 65)) + [100, 257, 513, 1024, 2048]:
+            for bits in (n + 64, n + 128):
+                assert analytic.exact_mean_equal_rates(n, bits).value == \
+                    _oracle_table_mean(n, bits), (n, bits)
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_log_table_error_sum_pinned(self, n):
+        # the README states B = sum_p |e_p| E_p < 2^(n+5) up to n = 4096, at
+        # the default n + 64 bits (w = 2n + 128); 2^(n+8) keeps that line
+        # from going stale while leaving a little room
+        spf = analytic._smallest_prime_factors(n + 1)
+        logs = analytic._log_table(spf, 2 * n + 128)
+        exponents = analytic._prime_exponents(*analytic._subset_table([1.0] * n)[:2], spf)
+        assert sum(abs(e) * logs[p][1] for p, e in exponents) < 2 ** (n + 8)
 
     def test_log_table_matches_mpmath_logs(self):
         for n in (64, 128, 256, 512, 1024, 2048):
