@@ -40,6 +40,7 @@ _TERM_CAP = 2 ** 25       # subset sums one exact chain evaluation may expand in
 _FLOAT_REL_TOL = 2.0 ** -30   # error bound up to which a chain transform is summed in float64
 _FN_UNITS = 4      # units of 2^-53 charged to one np.log, np.expm1 or math.exp: 2 ulp
 _GUARD_BITS = 32
+_LOG_CAP = 2 ** 11     # above |log phi_in(x)|: phi_in(x) >= 2^-2149 for float parameters and x > 0
 _LOG_SLACK_BITS = 32   # fixed-point bits the log table's error bound may take up
 _BLOCK = 2 ** 16    # array elements a blocked evaluation holds at a time
 _TINY = float(np.finfo(np.float64).tiny)   # the smallest normal float
@@ -176,11 +177,12 @@ def chain_transform(model: InputModel, rates) -> LaplaceEval:
     result does not depend on the order, bit for bit.  Folding ``node_step``
     gives ``log phi(s) = sum_sigma w_sigma log phi_in(s + sigma)`` over the
     distinct subset sums of the rates, weighted as in :func:`_subset_table`.
-    The sum cancels bits.  :func:`_error_bound` bounds the relative error B
-    of its float64 evaluation once, from the table and one call of the law:
-    it runs in float64 where B <= ``_FLOAT_REL_TOL`` = 2^-30, which is then
-    the stated tolerance of every value, and otherwise in mpmath at
-    ceil(log2(B / 2^-53)) + 85 bits, where the same bound comes to 2^-85.
+    The sum cancels bits.  :func:`_table_sum` bounds each point's relative
+    error from its own float64 terms and answers in float64 where that bound
+    is at most ``_FLOAT_REL_TOL`` = 2^-30, the stated tolerance of every
+    value, and otherwise in mpmath at a width from the table alone, where
+    the same count comes to 2^-85.  A value below the smallest normal float
+    is refused with ValueError, naming the point.
     """
     base = transform_of_input(model)
     rs = _positive_rates(rates)
@@ -207,11 +209,11 @@ def _positive_rates(rates) -> list[float]:
 
 def _refuse_underflow(s: np.ndarray, low: np.ndarray, what: str):
     """Refuse the first point of ``s`` flagged in ``low``, where a value to be
-    logged or divided is below the smallest normal float."""
+    logged, divided or returned is below the smallest normal float."""
     bad = np.flatnonzero(low)
     if len(bad):
         raise ValueError(f"{what} is below the smallest normal float at s = {float(s[bad[0]])!r}; "
-                         f"its log or quotient would lose relative precision")
+                         f"a subnormal value has lost relative precision")
 
 
 def _guarded(fn, model: InputModel, top: float):
@@ -299,103 +301,93 @@ def _tree_sum(terms: np.ndarray) -> np.ndarray:
     return total[0]
 
 
-def _error_bound(model: InputModel, sums, weights, k: int) -> tuple[float, int]:
-    """``(B, bits)`` for a subset table: B bounds, to first order in
-    u = 2^-53, the relative error of the float64 evaluation of
-    :func:`_table_sum` at any s >= 0 it does not refuse, and ``bits`` is the
-    mpmath width, ceil(log2(B / u)) + 53 + ``_GUARD_BITS``.
+def _table_sum(model: InputModel, sums, weights, k: int):
+    """s -> exp(sum_sigma w_sigma log phi_in(s + sigma)) over a subset table,
+    elementwise over a 1-D array of points s > 0, each in float64 where its
+    own error bound is at most ``_FLOAT_REL_TOL``, else in mpmath; a value
+    below the smallest normal float is refused.
 
-    A value's relative error is the absolute error of its log, the sum
-    S = sum_sigma w_sigma l_sigma with l_sigma = log phi_in(s + sigma).
-    Counted in units of u, with ``_FN_UNITS`` per log, expm1 or exp call:
-
-    - the argument: sigma rounds to a float and s + sigma rounds, 2 units;
-      as x phi_in'(x) <= phi_in(x) for every law, an argument's relative
-      error passes to phi_in at most once.  The law adds its own: 2 for
-      x / (rho + x); 1 + ``_FN_UNITS`` for -expm1(-d x); 2 + ``_FN_UNITS``
-      + ceil(log2 K) for an empirical law of K samples, whose K terms of
-      one sign go through :func:`_tree_sum`.  So c_law = 4, 3 + ``_FN_UNITS``
-      and 4 + ``_FN_UNITS`` + ceil(log2 K) units of absolute error in l;
-    - the log, the product with w (and w's own rounding past 2^53), and a
-      tree sum of the N terms of depth d = ceil(log2 N) add
-      (d + ``_FN_UNITS`` + 2) units of |w_sigma l_sigma|.
-
-    phi_in is nondecreasing and below 1, so for sigma >= sigma_min, the
-    least positive sum, |l_sigma| <= L = |log phi_in(sigma_min)|, read off
-    one call of the float law.  The term sigma = 0 has w = 1 and, being
-    unrefused, |l_0| <= 745; with the final exp it adds at most
-    745 (d + ``_FN_UNITS`` + 1).  Hence, with M = sum_(sigma > 0) |w_sigma|
-    the exact integer from the table,
-
-        B / u <= M (L (d + _FN_UNITS + 2) + c_law) + 745 (d + _FN_UNITS + 1),
-
-    kept as an integer above it, so no weight sum overflows a float.  Where
-    phi_in(sigma_min) is below the smallest normal float, the float route
-    would refuse every point near 0: B is infinite, and L for the width
-    comes from the mpmath law.  The mpmath route makes each of these
-    errors at 2^-bits instead, and its fsum is exact, so it is within
-    2^-(53 + ``_GUARD_BITS``) before the result rounds to a float (give or
-    take a guard bit where its term at sigma = 0, which mpmath does not
-    underflow, passes 745).
+    A value's relative error is the absolute error of its log, the sum of
+    w_sigma l_sigma with l_sigma = log phi_in(s + sigma).  In units of
+    u = 2^-53, with ``_FN_UNITS`` per log, expm1 or exp: sigma and s + sigma
+    round, 2 units, which pass to phi_in at most once as x phi_in'(x) <=
+    phi_in(x); the law adds 2 for x / (rho + x), 1 + ``_FN_UNITS`` for
+    -expm1(-d x) and 2 + ``_FN_UNITS`` + ceil(log2 K) for K samples through
+    :func:`_tree_sum`, so c_law = 4, 7 or 8 + ceil(log2 K) units of error in
+    l; the log, the product with w (and w's rounding past 2^53) and a tree
+    sum of depth d = ceil(log2 N) over the N terms add (d + 6) units of
+    |w_sigma l_sigma|; and the term sigma = 0, w = 1 and |l_0| <= 745 at a
+    normal law value, adds at most 745 (d + 5) with the final exp.  So with
+    M = sum_(sigma > 0) |w_sigma|, an exact integer, the floor
+    F / u = c_law M + 745 (d + 5) holds at every point, and a point's bound,
+    F + u (d + 6) sum_sigma |w_sigma l_sigma(s)|, is read off its float64
+    terms (a running error bound).  Where F passes the tolerance no float64
+    pass is made; otherwise only the points whose bound passes it, or whose
+    law values fall below the smallest normal float, go to mpmath.  There,
+    as phi_in(x) >= 2^-2149 for float parameters and x > 0, every |l_sigma|
+    < ``_LOG_CAP`` = 2^11, and the same count with sum |w l| <= (M + 1) 2^11
+    gives the width: at its bit length plus 53 + ``_GUARD_BITS`` bits, the
+    exact fsum is within 2^-(53 + ``_GUARD_BITS``) before it rounds to a
+    float.  The mpmath table is built at the first point that needs it.  A
+    point's sum is taken in one column by :func:`_tree_sum`, so its value
+    and route do not depend on the other points of its call.
     """
     depth = (len(sums) - 1).bit_length()
     size = np.abs(weights)     # summed in int64 where that cannot overflow, else exactly
     mass = int(size.sum(dtype=object if len(size) * int(size.max()) >= 2 ** 63 else None)) - 1
-    low = float(_input_law(model)(np.array([int(sums[1]) / (1 << k)]))[0])
-    if low >= _TINY:
-        log_low = -math.log(low)
-    else:
-        log_low = -float(mpmath.log(_input_law(model, mpmath)(mpmath.mpf((int(sums[1]), -k)))))
     if model.kind == EXPONENTIAL:
         c_law = 4
     elif model.kind == DETERMINISTIC:
         c_law = 3 + _FN_UNITS
     else:
         c_law = 4 + _FN_UNITS + (len(model.samples) - 1).bit_length()
-    units = (mass * (math.ceil(log_low * (depth + _FN_UNITS + 2)) + c_law)
-             + 745 * (depth + _FN_UNITS + 1))
-    finite = low >= _TINY and units.bit_length() <= 1024
-    return (units / 2 ** 53 if finite else math.inf), (units - 1).bit_length() + 53 + _GUARD_BITS
+    floor = c_law * mass + 745 * (depth + _FN_UNITS + 1)
+    bits = (floor + (depth + _FN_UNITS + 2) * (mass + 1) * _LOG_CAP).bit_length() + 53 + _GUARD_BITS
+    tol = _FLOAT_REL_TOL * 2 ** 53      # the tolerance in units of u
 
+    @functools.cache
+    def exact_table():
+        with mpmath.workprec(bits):
+            return _input_law(model, mpmath), [(mpmath.mpf((x, -k)), w)
+                                               for x, w in zip(sums.tolist(), weights.tolist())]
 
-def _table_sum(model: InputModel, sums, weights, k: int):
-    """s -> exp(sum_sigma w_sigma log phi_in(s + sigma)) over a subset table,
-    in float64 where :func:`_error_bound` gives B <= ``_FLOAT_REL_TOL``, else
-    in mpmath at its width; elementwise over a 1-D array, each point's sum
-    taken in one column by :func:`_tree_sum` and exponentiated by
-    ``math.exp``, so a point's value does not depend on the other points of
-    its call."""
-    bound, bits = _error_bound(model, sums, weights, k)
-    if bound <= _FLOAT_REL_TOL:
-        if sums.dtype == object:        # Python's int / int rounds once
-            sums = np.array([x / (1 << k) for x in sums.tolist()])
-        else:
-            sums = np.ldexp(sums.astype(np.float64), -k)
-        weights = weights.astype(np.float64)
-        phi_in = _input_law(model)
-
-        def total(x):
-            values = phi_in(np.add.outer(sums, x))
-            _refuse_underflow(x, (values < _TINY).any(axis=0), "the input law at s + sigma")
-            return _tree_sum(weights[:, None] * np.log(values))
-
-        def fn(s):
-            rows = max(1, _BLOCK // len(sums))     # points per block of s + sums
-            totals = np.concatenate([total(s[i:i + rows]) for i in range(0, len(s), rows)])
-            return np.array([math.exp(x) for x in totals.tolist()])
-
-        return fn
-    with mpmath.workprec(bits):
-        table = [(mpmath.mpf((x, -k)), w) for x, w in zip(sums.tolist(), weights.tolist())]
-    phi_in = _input_law(model, mpmath)
-
-    def point(s):
+    def exact(s):
+        exact_law, table = exact_table()
         with mpmath.workprec(bits):
             x = mpmath.mpf(s)
-            total = mpmath.fsum(w * mpmath.log(phi_in(x + sigma)) for sigma, w in table)
+            total = mpmath.fsum(w * mpmath.log(exact_law(x + sigma)) for sigma, w in table)
             return float(mpmath.exp(total))
 
-    return lambda s: np.array([point(x) for x in s.tolist()])
+    if floor <= tol:
+        if sums.dtype == object:        # Python's int / int rounds once
+            at = np.array([x / (1 << k) for x in sums.tolist()])
+        else:
+            at = np.ldexp(sums.astype(np.float64), -k)
+        scale = weights.astype(np.float64)
+        law = _input_law(model)
+        rows = max(1, _BLOCK // len(at))     # points per block of s + sums
+
+    def fn(s):
+        out = np.full(len(s), np.nan)     # nan marks the points left to mpmath
+        if floor <= tol:
+            for i in range(0, len(s), rows):
+                x = s[i:i + rows]
+                n = len(x)
+                values = law(np.add.outer(at, x))
+                # each point's terms, then their magnitudes, summed by one tree
+                pair = np.empty((len(at), 2 * n))
+                np.multiply(scale[:, None], np.log(np.maximum(values, _TINY)), out=pair[:, :n])
+                np.abs(pair[:, :n], out=pair[:, n:])
+                total = _tree_sum(pair)
+                live = ((values.min(axis=0) >= _TINY)
+                        & ((depth + _FN_UNITS + 2) * total[n:] + floor <= tol))
+                out[i:i + rows][live] = [math.exp(t) for t in total[:n][live].tolist()]
+        for j in np.flatnonzero(np.isnan(out)).tolist():
+            out[j] = exact(float(s[j]))
+        _refuse_underflow(s, out < _TINY, "the chain transform")
+        return out
+
+    return fn
 
 
 def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:

@@ -639,6 +639,10 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 _CHUNK_POINTS = 2 ** 17
 _PHILOX_SLICE = 2 ** 10
 _LAST_BLOCK = 4
+# a batch stream: its key, block b, window's first uniform w, row in the store,
+# the point before the block and the block's gap sum to the window's end
+_STREAM = np.dtype([("key", np.uint64), ("block", np.intp), ("start", np.intp),
+                    ("slot", np.intp), ("base", np.float64), ("sum", np.float64)])
 
 
 def sample_first_reception(config: SystemConfig, node: int, reps: int,
@@ -729,37 +733,34 @@ class _StreamBatch:
     block's points are its base, the point before it, plus the running sums
     of its gaps, so a stream carries the base and the sum to its window's
     end, and its points are those of ``_KeyedStream``, bit for bit.  Rows of
-    dropped streams are reused before the one store grows.  ``gap(u, s)``
-    maps the uniforms of streams ``s``, one row each, to gaps.
+    dropped streams are reused before the one store grows.  Each stream's
+    state is one ``_STREAM`` record, in an array that grows in place as the
+    store does.  ``gap(u, s)`` maps the uniforms of streams ``s``, one row
+    each, to gaps.
     """
 
     def __init__(self, seed: int, gap):
         self._seed, self._gap = seed, gap
-        self._keys = np.empty(0, dtype=np.uint64)
-        # per stream: its block b, its window's first uniform w, its row, the
-        # point before the block and the block's gap sum to the window's end
-        self._block, self._start, self._slot = (np.empty(0, dtype=np.intp) for _ in range(3))
-        self._base, self._sum = np.empty(0), np.empty(0)
+        self._streams, self._count = np.zeros(0, _STREAM), 0
         self._rows, self._fill = np.empty((0, _FIRST_BLOCK)), 0
         self._free = np.empty(0, dtype=np.intp)
 
     def admit(self, keys: np.ndarray) -> np.ndarray:
         """Add the streams ``keys`` at block 0; return their indices."""
-        m, fill, free = len(keys), self._fill, self._free
-        s = np.arange(len(self._keys), len(self._keys) + m)
+        m, fill, free, count = len(keys), self._fill, self._free, self._count
         grow = max(0, m - len(free))
+        # both stores grow in place, so their old entries are not held twice;
+        # no view of either outlives a call
         if fill + grow > len(self._rows):
-            # in place, so the old rows are not held twice; no view of the
-            # store outlives a call
             self._rows.resize((max(len(self._rows) * 5 // 4, fill + grow), _FIRST_BLOCK),
                               refcheck=False)
-        self._free, self._fill = free[m:], fill + grow
-        slots = np.concatenate((free[:m], np.arange(fill, fill + grow)))
-        zeros = np.zeros(m, dtype=np.intp)
-        self._keys, self._block, self._start, self._slot, self._base, self._sum = (
-            np.concatenate(pair) for pair in (
-                (self._keys, keys), (self._block, zeros), (self._start, zeros),
-                (self._slot, slots), (self._base, np.zeros(m)), (self._sum, np.zeros(m))))
+        if count + m > len(self._streams):
+            self._streams.resize(max(len(self._streams) * 5 // 4, count + m), refcheck=False)
+        new = self._streams[count:count + m]
+        new[...] = 0
+        new["key"], new["slot"] = keys, np.concatenate((free[:m], np.arange(fill, fill + grow)))
+        self._free, self._fill, self._count = free[m:], fill + grow, count + m
+        s = np.arange(count, count + m)
         for i in range(0, m, _PHILOX_SLICE):     # each slice straight into the store
             self._write(s[i:i + _PHILOX_SLICE],
                         _philox_uniforms(self._seed, keys[i:i + _PHILOX_SLICE], 0, _FIRST_BLOCK))
@@ -768,10 +769,11 @@ class _StreamBatch:
     def keep(self, mask: np.ndarray) -> None:
         """Drop the streams where ``mask`` is false, releasing their rows;
         the kept streams are renumbered in order."""
-        self._free = np.concatenate((self._free, self._slot[~mask]))
-        self._keys, self._block, self._start, self._slot, self._base, self._sum = (
-            a[mask] for a in (self._keys, self._block, self._start, self._slot, self._base,
-                              self._sum))
+        live = self._streams[:self._count]
+        self._free = np.concatenate((self._free, live["slot"][~mask]))
+        raw = live.view(f"V{_STREAM.itemsize}")     # whole records, which numpy gathers fast
+        self._count = np.count_nonzero(mask)
+        raw[:self._count] = raw[mask]
 
     def after(self, s: np.ndarray, t: np.ndarray, before) -> np.ndarray:
         """The first point p of each stream s[i] with ``not before(p, t[i])``,
@@ -781,7 +783,7 @@ class _StreamBatch:
         out = np.full(len(s), np.nan)
         todo = np.arange(len(s))
         while len(todo):
-            pts = self._rows[self._slot[s[todo]]]
+            pts = self._rows[self._streams["slot"][s[todo]]]
             pos = before(pts, t[todo, None]).sum(axis=1)
             hit = pos < _FIRST_BLOCK
             out[todo[hit]] = pts[hit, pos[hit]]
@@ -793,17 +795,18 @@ class _StreamBatch:
     def _advance(self, s: np.ndarray) -> np.ndarray:
         """Move each stream s[i] to its next window, unless it ends block
         ``_LAST_BLOCK``; return which ones moved."""
-        block, start = self._block[s], self._start[s] + _FIRST_BLOCK
+        streams = self._streams
+        block, start = streams["block"][s], streams["start"][s] + _FIRST_BLOCK
         ended = start == np.minimum(_FIRST_BLOCK << 2 * block, _MAX_BLOCK)
         moved = ~ended | (block < _LAST_BLOCK)
         s, block, start, ended = s[moved], block[moved], start[moved], ended[moved]
         # the next block goes on from the last point of this one
         e = s[ended]
-        self._base[e], self._sum[e] = self._rows[self._slot[e], -1], 0.0
+        streams["base"][e], streams["sum"][e] = self._rows[streams["slot"][e], -1], 0.0
         block[ended] += 1
         start[ended] = 0
-        self._block[s], self._start[s] = block, start
-        u = _draw_blocks(self._seed, self._keys[s].tolist(), block.tolist(), start.tolist(),
+        streams["block"][s], streams["start"][s] = block, start
+        u = _draw_blocks(self._seed, streams["key"][s].tolist(), block.tolist(), start.tolist(),
                          np.empty((len(s), _FIRST_BLOCK)))
         self._write(s, u)
         return moved
@@ -812,11 +815,11 @@ class _StreamBatch:
         """Carry the running sums of streams s on by the gaps of the
         uniforms ``u``, one window a row, and store the window's points."""
         gaps = self._gap(u, s)
-        gaps[:, 0] += self._sum[s]
+        gaps[:, 0] += self._streams["sum"][s]
         np.cumsum(gaps, axis=1, out=gaps)
-        self._sum[s] = gaps[:, -1]
-        gaps += self._base[s, None]
-        self._rows[self._slot[s]] = gaps
+        self._streams["sum"][s] = gaps[:, -1]
+        gaps += self._streams["base"][s, None]
+        self._rows[self._streams["slot"][s]] = gaps
 
 
 def sample_interreception(config: SystemConfig, node: int, gap_count: int,

@@ -112,6 +112,40 @@ def _assert_matches_reference(phi, model, rates, grid, rel, reference=_mp_chain_
         assert err <= rel, f"s={s}: {got!r} vs {mpmath.nstr(ref, 17)} (rel {mpmath.nstr(err, 3)})"
 
 
+def _takes_mpmath(phi, s) -> bool:
+    """Whether evaluating phi at s calls ``mpmath.log``: the route of that point."""
+    with mock.patch.object(mpmath, "log", wraps=mpmath.log) as log:
+        phi(s)
+    return log.called
+
+
+@lru_cache(maxsize=None)
+def _float_table(rates: tuple):
+    """(d, M, sums, weights) of a rate multiset's subset table: the depth of
+    its tree sum, the exact sum of |w| over sigma > 0, and the sums and
+    weights each rounded once to a float."""
+    sums, weights, k = analytic._subset_table(list(rates))
+    mass = sum(abs(w) for w in weights.tolist()) - 1
+    return ((len(sums) - 1).bit_length(), mass, np.array([x / 2 ** k for x in sums.tolist()]),
+            np.array(weights.tolist(), dtype=np.float64))
+
+
+def _point_bound(model, rates, s):
+    """The error bound of the float64 chain value at s, recounted from its
+    float64 terms: u ((d + 6) sum |w l| + c_law M + 745 (d + 5)) with
+    u = 2**-53, or inf where a law value is below the smallest normal float."""
+    depth, mass, sums, weights = _float_table(tuple(float(r) for r in rates))
+    if model.kind == core.EMPIRICAL:
+        c_law = 8 + (len(model.samples) - 1).bit_length()
+    else:
+        c_law = 4 if model.kind == core.EXPONENTIAL else 7
+    values = analytic._input_law(model)(s + sums)
+    if (values < np.finfo(np.float64).tiny).any():
+        return math.inf
+    terms = weights * np.log(values)
+    return ((depth + 6) * math.fsum(np.abs(terms)) + c_law * mass + 745 * (depth + 5)) * 2.0 ** -53
+
+
 def _subset_expansion_loop(phi, rates, s):
     """The subset expansion with one scalar call of phi per subset sum: the
     per-point loop that the array path of ``analytic.subset_expansion`` is
@@ -282,24 +316,45 @@ class TestChainTransform:
         with pytest.raises(ValueError, match="beyond the float range"):
             analytic.chain_transform(model, [1e308, 1e308])
         # the float route (one rate) and the mpmath route (24 equal rates)
-        assert analytic._error_bound(model, *analytic._subset_table([7e306] * 24))[0] \
-            > analytic._FLOAT_REL_TOL
         for rates in ([1e308], [7e306] * 24):
             phi = analytic.chain_transform(model, rates)
+            assert _takes_mpmath(phi, 1.0) == (len(rates) == 24)
             assert 0.0 < phi(1.0) <= 1.0
             with pytest.raises(ValueError, match="beyond the float range"):
                 phi(1e308)
 
-    @pytest.mark.parametrize("s", [1e-20, 1e-30])
-    def test_underflowing_input_law_refused(self, s):
-        # phi_in(s) of det(1e-300) is subnormal at 1e-20 (the chain read
-        # 9.99989e-21 for 1.0e-20) and 0 at 1e-30 (a log of 0 gave 0.0)
-        phi = analytic.chain_transform(core.InputModel.deterministic(1e-300), [1.0])
-        assert phi(1e-3) == pytest.approx(1e-3 / 1.001, rel=1e-12)
+    @pytest.mark.parametrize("n", [1, 3, 14])
+    def test_underflowing_input_law_answered(self, n):
+        # phi_in(s) of det(1e-300) is subnormal at 1e-20 and 2^-64 and 0 at
+        # 1e-30, so those points go to mpmath whatever the chain length, and
+        # only 14 rates send s = 1 there too.  Input every 1e-300 is permanent
+        # input to 1e-8, so the mean is the equal-rate exact mean
+        phi = analytic.chain_transform(core.InputModel.deterministic(1e-300), [1.0] * n)
+        exact = float(analytic.exact_mean_equal_rates(n))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match=f"below the smallest normal float at s = {s!r}"):
-                phi(np.array([1.0, s]))
+            assert analytic.mean_from_transform(phi) == pytest.approx(exact, rel=1e-8)
+            for s in (1e-20, 1e-30, 2.0 ** -64):
+                assert _takes_mpmath(phi, s)
+                assert phi(s) == pytest.approx(s * exact, rel=1e-8)
+        assert _takes_mpmath(phi, 1.0) == (n == 14)
+
+    def test_subnormal_values_refused(self):
+        # at 1e-318, s E T is subnormal: mpmath's value for 24 unit rates
+        # rounds to 6.459e-318, 1.7e-7 off, and one unit rate goes to mpmath
+        # there too, as its law value is subnormal.  A float64 value cannot
+        # fall below phi_in(s), so one is forced below the smallest normal
+        # float to see its refusal
+        model = core.InputModel.exponential(1.0)
+        for n in (1, 24):
+            phi = analytic.chain_transform(model, [1.0] * n)
+            with pytest.raises(ValueError, match=r"below the smallest normal float at s = 1e-318;"):
+                phi(np.array([1.0, 1e-318]))
+        phi = analytic.chain_transform(model, [1.0])
+        assert not _takes_mpmath(phi, 1e-3)
+        with mock.patch.object(math, "exp", return_value=1e-310):
+            with pytest.raises(ValueError, match=r"below the smallest normal float at s = 0\.001;"):
+                phi(1e-3)
 
     def test_overflowing_input_rate_refused(self):
         # exponential input: s plus the rate sum plus the input rate is the
@@ -473,15 +528,14 @@ class TestSubsetExpansion:
                 assert abs(a - b) <= 1e-12 * abs(b), (length, s, a, b)
 
     def test_composites_match_per_point_loop(self):
-        # a node step and chain transforms on both branches: float64 on
-        # distinct rates, mpmath on 24 unit rates (error bound B > 2**-30)
+        # a node step and chain transforms on both routes: float64 on
+        # distinct rates, mpmath on 24 unit rates (error floor above 2**-30)
         rng = np.random.default_rng(17)
         model = _DIFF_INPUTS["det"]
-        assert analytic._error_bound(model, *analytic._subset_table([1.0] * 24))[0] \
-            > analytic._FLOAT_REL_TOL
         composites = [analytic.node_step(analytic.transform_of_input(model), 1.7),
                       analytic.chain_transform(model, rng.uniform(0.3, 4.0, size=6)),
                       analytic.chain_transform(model, [1.0] * 24)]
+        assert not _takes_mpmath(composites[1], 0.5) and _takes_mpmath(composites[2], 0.5)
         for phi in composites:
             for length in (1, 4, 8):
                 rates = rng.uniform(0.3, 4.0, size=length)
@@ -543,6 +597,9 @@ def _array_cases():
         yield f"{name}-node_step", analytic.node_step(base, 1.7)
         yield f"{name}-chain-float", analytic.chain_transform(model, rates)
         yield f"{name}-chain-mpmath", analytic.chain_transform(model, [1.0] * 24)
+    # phi_in(1e-300) underflows, so that point alone goes to mpmath
+    yield "det1e-300-chain-mixed", analytic.chain_transform(core.InputModel.deterministic(1e-300),
+                                                            [1.0] * 3)
 
 
 _ARRAY_CASES = dict(_array_cases())
@@ -552,15 +609,23 @@ class TestArrayCalls:
     @pytest.mark.parametrize("name", list(_ARRAY_CASES))
     def test_equals_scalar_calls(self, name):
         # 4096 float sums take the 65 points in blocks of 16; 24 unit rates
-        # have an error bound above 2**-30, so they take the mpmath route
+        # have an error floor above 2**-30, so every point takes the mpmath
+        # route; the mixed chain sends 1e-300 to mpmath and the rest to float64
         phi = _ARRAY_CASES[name]
-        if name.endswith("-chain-mpmath"):
-            model = _EMP64 if name.startswith("emp") else _DIFF_INPUTS[name[:3]]
-            assert analytic._error_bound(model, *analytic._subset_table([1.0] * 24))[0] \
-                > analytic._FLOAT_REL_TOL
         got = phi(_ARRAY_POINTS)
         assert got.dtype == np.float64 and got.shape == _ARRAY_POINTS.shape
-        assert np.array_equal(got, np.array([phi(x) for x in _ARRAY_POINTS]))
+        with mock.patch.object(mpmath, "log", wraps=mpmath.log) as log:
+            routes = []
+            for x in _ARRAY_POINTS:
+                log.reset_mock()
+                assert got[len(routes)] == phi(x)
+                routes.append(log.called)
+        if name.endswith("-chain-mpmath"):
+            assert routes == [False] + [True] * 64
+        elif name.endswith("-chain-mixed"):
+            assert routes == [False, True] + [False] * 63
+        else:
+            assert not any(routes)
 
     def test_empirical_law_equals_scalar_calls(self):
         # each point's samples are summed in one row, whatever the array's size
@@ -772,12 +837,8 @@ class TestMeanExtraction:
             assert abs(mean - exact) <= 1e-11 * exact, (mean, mpmath.nstr(exact, 17))
 
     def test_out_of_range_scales_refused(self):
-        # det(1e-300): phi_in(2^-64) underflows to a subnormal, and the
-        # unrefused read was 2.3e-5 off; one node of rate 1e-300: s + 1e-300
-        # rounds to s, so phi(s) = 1 and the two reads give 2^64 and 2^63
-        phi = analytic.chain_transform(core.InputModel.deterministic(1e-300), [1.0])
-        with pytest.raises(ValueError, match="below the smallest normal float"):
-            analytic.mean_from_transform(phi)
+        # one node of rate 1e-300: s + 1e-300 rounds to s, so phi(s) = 1 and
+        # the two reads give 2^64 and 2^63
         phi = analytic.chain_transform(core.InputModel.exponential(1.0), [1e-300])
         with pytest.raises(analytic.ConvergenceError):
             analytic.mean_from_transform(phi)
@@ -790,8 +851,11 @@ class TestMeanExtraction:
 
 # every chain x input of the two grids, and empirical(1000) through 16 unit
 # rates; with the wide mean chain on det(0.8), the two tables a cap on max |w|
-# sent to a route its error did not call for
+# sent to a route its error did not call for; and exponential(8) through 20
+# unit rates, whose floor leaves each point to its own bound: s = 10 takes
+# float64, and the other four points mpmath
 _ORACLE_CASES = {
+    "exp8-equal20": (core.InputModel.exponential(8.0), [1.0] * 20),
     **{f"{i}-{c}": (_DIFF_INPUTS[i], _DIFF_CHAINS[c]) for i in _DIFF_INPUTS for c in _DIFF_CHAINS},
     **{f"mean-{i}-{c}": (_MEAN_INPUTS[i], _MEAN_CHAINS[c])
        for i in _MEAN_INPUTS for c in _MEAN_CHAINS if _MEAN_CHAINS[c]},
@@ -800,13 +864,15 @@ _ORACLE_CASES = {
 }
 
 _BENCH_DISTINCT14 = list(np.random.default_rng(14).uniform(0.3, 4.0, size=14))
+_DISTINCT20 = list(np.random.default_rng(20).uniform(0.3, 4.0, size=20))
 # (input, rates, float64?) for the tables of the tier-1 tests and the bench
 # (exponential(1) through n unit rates, and distinct chains of up to 14 rates
-# on the bench's three input families at their extreme parameters): every
-# table the former cap of 2**10 on max |w| summed in float64 stays there,
-# 16 equal rates move to float64, and the longer equal and linear chains
-# stay in mpmath
+# on the bench's three input families at their extreme parameters), and 20
+# distinct rates, which only per-point bounds keep in float64: every table the
+# former cap of 2**10 on max |w| summed in float64 stays there, 16 equal
+# rates move to float64, and the longer equal and linear chains stay in mpmath
 _ROUTES = {
+    "distinct20": (_DIFF_INPUTS["exp"], _DISTINCT20, True),
     "distinct18": (_DIFF_INPUTS["exp"], list(np.random.default_rng(32).uniform(0.3, 4.0, size=18)),
                    True),
     "python-int": (_DIFF_INPUTS["exp"], [0.001, 10.0, 0.37], True),
@@ -824,43 +890,57 @@ _ROUTES = {
 class TestErrorBound:
     @pytest.mark.parametrize("name", list(_ORACLE_CASES))
     def test_float_route_within_its_bound(self, name):
-        # the route, seen by whether an evaluation calls mpmath, is float64
-        # exactly when B <= 2**-30, and a float64 value is within B of the
-        # reference, down to the mean's read at 2**-64; the 2**31 subsets of
-        # rates 1..31 are folded on the integer grid instead
+        # the route of each point, seen by whether it calls mpmath, is float64
+        # exactly when its own bound is at most 2**-30, and a float64 value is
+        # within that bound of the reference, down to the mean's read at
+        # 2**-64; the 2**31 subsets of rates 1..31 are folded on the integer
+        # grid instead
         model, rates = _ORACLE_CASES[name]
         reference = _mp_grid_reference if name.endswith("linear31") else _mp_chain_reference
-        bound, _ = analytic._error_bound(model, *analytic._subset_table(rates))
         phi = analytic.chain_transform(model, rates)
-        with mock.patch.object(mpmath, "log", wraps=mpmath.log) as log:
-            phi(1.0)
-        assert log.called == (bound > analytic._FLOAT_REL_TOL), (name, bound)
-        if not log.called:
-            _assert_matches_reference(phi, model, rates, _DIFF_GRID + (2.0 ** -64,), bound,
-                                      reference=reference)
+        for s in _DIFF_GRID + (2.0 ** -64,):
+            bound = _point_bound(model, rates, s)
+            assert _takes_mpmath(phi, s) == (bound > analytic._FLOAT_REL_TOL), (name, s, bound)
+            if bound <= analytic._FLOAT_REL_TOL:
+                _assert_matches_reference(phi, model, rates, (s,), bound, reference=reference)
 
     @pytest.mark.parametrize("name", list(_ROUTES))
     def test_routes(self, name):
         model, rates, in_float = _ROUTES[name]
-        bound, _ = analytic._error_bound(model, *analytic._subset_table(rates))
-        assert (bound <= analytic._FLOAT_REL_TOL) == in_float, bound
+        phi = analytic.chain_transform(model, rates)
+        for s in _DIFF_GRID + (2.0 ** -64,):
+            assert _takes_mpmath(phi, s) != in_float, s
+
+    def test_distinct20_float_matches_subset_expansion(self):
+        # each point's own bound is below 1e-9, while M (d + 6) times
+        # |log phi_in| at the least positive sum, for the whole table, is 5.5e-9
+        model = _DIFF_INPUTS["exp"]
+        phi, base = analytic.chain_transform(model, _DISTINCT20), analytic.transform_of_input(model)
+        for s in _DIFF_GRID:
+            assert _point_bound(model, _DISTINCT20, s) < 1e-9
+            expanded = analytic.subset_expansion(base, _DISTINCT20, s)
+            assert phi(s) == pytest.approx(expanded, rel=1e-9, abs=0), s
 
     def test_underflowing_law_is_infinite_bound(self):
-        # phi_in(1e-10) of exp(1e308) is subnormal: B is infinite with no
-        # RuntimeWarning, and the mpmath route answers at points near 0
+        # phi_in(1e-10) and phi_in(1.0) of exp(1e308) are subnormal: both
+        # points go to mpmath with no RuntimeWarning, and answer there
         model = core.InputModel.exponential(1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            bound, bits = analytic._error_bound(model, *analytic._subset_table([1e-10, 2.0]))
-            assert bound == math.inf and 85 < bits < 200
             phi = analytic.chain_transform(model, [1e-10, 2.0])
+            for s in (1e-300, 1.0):
+                assert _point_bound(model, [1e-10, 2.0], s) == math.inf
+                assert _takes_mpmath(phi, s)
             _assert_matches_reference(phi, model, [1e-10, 2.0], (1e-300, 1.0), 1e-15)
 
     def test_huge_weight_sum_needs_no_float(self):
-        # sum |w| = 2**2000 - 1 is far past the float range
+        # sum |w| = 2**2000 - 1 is far past the float range: its floor sends
+        # every point to mpmath, with no float pass and no float of the sum
         model = core.InputModel.exponential(1.0)
-        bound, bits = analytic._error_bound(model, *analytic._subset_table([1.0] * 2000))
-        assert bound == math.inf and 2000 + 85 < bits < 2000 + 100
+        phi = analytic.chain_transform(model, [1.0] * 2000)
+        with mock.patch.object(analytic, "_tree_sum", side_effect=AssertionError):
+            assert _takes_mpmath(phi, 1.0)
+        _assert_matches_reference(phi, model, [1.0] * 2000, (1.0,), 1e-15)
 
     @pytest.mark.parametrize("fn, ref", [(np.log, mpmath.log), (np.expm1, mpmath.expm1)],
                              ids=["log", "expm1"])

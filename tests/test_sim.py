@@ -374,7 +374,7 @@ class TestBatchedKernel:
         seen, admit = set(), sim._StreamBatch.admit
 
         def watched_admit(batch, keys):
-            seen.update(batch._block.tolist())
+            seen.update(batch._streams["block"][:batch._count].tolist())
             return admit(batch, keys)
 
         monkeypatch.setattr(sim._StreamBatch, "admit", watched_admit)

@@ -1,8 +1,10 @@
 """Source checks on ``onoffchain``: no rule of the package, nor of the
 oracle helper ``tests/core_reference.py``, may depend on whether Python
 runs with ``-O``, which strips ``assert`` statements and sets
-``__debug__`` and ``sys.flags.optimize``; and the package imports nothing
-beyond the standard library and its declared dependencies."""
+``__debug__`` and ``sys.flags.optimize``; the package imports nothing
+beyond the standard library and its declared dependencies; and it never
+sets mpmath's global precision, so every width is scoped by ``workprec``
+and none leaks to the caller."""
 
 import ast
 import sys
@@ -52,6 +54,25 @@ def _undeclared_imports(source: str) -> list[tuple[int, str]]:
     return found
 
 
+def _global_precision_writes(source: str) -> list[tuple[int, str]]:
+    """(line, target) for each assignment, plain or augmented, to the
+    ``prec`` or ``dps`` of mpmath's context ``mp`` (as ``mp.prec`` or
+    ``mpmath.mp.dps``) in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found.extend((node.lineno, ast.unparse(t)) for t in targets
+                     if isinstance(t, ast.Attribute) and t.attr in ("prec", "dps")
+                     and (isinstance(t.value, ast.Name) and t.value.id == "mp"
+                          or isinstance(t.value, ast.Attribute) and t.value.attr == "mp"))
+    return found
+
+
 def test_no_module_depends_on_python_optimize():
     planted = ("assert x\nif __debug__:\n    pass\nimport sys\ny = sys.flags.optimize\n"
                "from sys import flags\nz = flags.optimize\n")
@@ -72,4 +93,15 @@ def test_imports_only_declared_dependencies():
     assert _undeclared_imports(planted) == [(1, "scipy"), (3, "sympy")]
     found = {path.name: hits for path in _modules()
              if (hits := _undeclared_imports(path.read_text()))}
+    assert found == {}
+
+
+def test_no_module_sets_global_mpmath_precision():
+    planted = ("import mpmath\nfrom mpmath import mp\nmp.prec = 200\nmpmath.mp.dps += 5\n"
+               "mp.dps: int = 30\nwith mpmath.workprec(80):\n    x = mpmath.mpf(1)\n"
+               "y = mp.prec\nctx.prec = 53\n")
+    assert _global_precision_writes(planted) == [
+        (3, "mp.prec"), (4, "mpmath.mp.dps"), (5, "mp.dps")]
+    found = {path.name: hits for path in _modules()
+             if (hits := _global_precision_writes(path.read_text()))}
     assert found == {}
