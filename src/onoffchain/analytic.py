@@ -469,8 +469,6 @@ def permanent_reduce(config: SystemConfig) -> SystemConfig:
     """
     if not config.input.is_permanent:
         raise ValueError("only permanent-input configurations can be reduced")
-    if config.is_empty:
-        raise ValueError("nothing to reduce in an empty chain")
     rho = config.rates.rate(config.right_node)
     return SystemConfig(config.left_node, config.right_node - 1,
                         config.rates, InputModel.exponential(rho))

@@ -28,14 +28,16 @@ tests keep as the oracle.
 ``sample_first_reception`` runs replications in one lockstep batch,
 reception by reception.  Replications join it in groups whenever half of it
 has ended, so it never runs out a chunk's slowest replications alone.  A
-stream holds one window of 16 points of its current block, drawn straight
-from its counter: block 0 of a group's streams at once, by a numpy Philox
-that matches the scalar draw bit for bit, and each later window when a
-lookup passes the one before.  Carrying the block's running sum from window
-to window gives the floats of ``simulate``, and the streams are keyed, so a
-replication's floats do not depend on when it joined.  A replication that
-would need a block past a fixed budget is rerun by the engine of
-``simulate``, which then builds no log.
+stream has one index in the batch, for its state and its window alike, and
+an ended replication's indices go back to a free list.  A stream holds one
+window of 16 points of its current block, drawn straight from its counter:
+block 0 of a group's streams at once, by a numpy Philox that matches the
+scalar draw bit for bit, and each later window when a lookup passes the one
+before.  Carrying the block's running sum from window to window gives the
+floats of ``simulate``, and the streams are keyed, so a replication's floats
+do not depend on when it joined.  A replication that would need a block past
+a fixed budget is rerun by the engine of ``simulate``, which then builds no
+log.
 """
 
 from __future__ import annotations
@@ -632,17 +634,17 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 
 # The batched kernel runs one batch of replications whose streams hold
 # _CHUNK_POINTS live points, one window of _FIRST_BLOCK points a stream, and
-# the rows of ended replications are reused.  Whenever half the batch has
+# the indices of ended streams are reused.  Whenever half the batch has
 # ended it admits a group, drawing their block 0 into the store and reading
 # their first points _PHILOX_SLICE streams at a time; each later window, up
 # to the end of block _LAST_BLOCK, is drawn when a lookup passes the one before.
 _CHUNK_POINTS = 2 ** 17
 _PHILOX_SLICE = 2 ** 10
 _LAST_BLOCK = 4
-# a batch stream: its key, block b, window's first uniform w, row in the store,
-# the point before the block and the block's gap sum to the window's end
+# a batch stream: its key, block b, window's first uniform w, the point
+# before the block and the block's gap sum to the window's end
 _STREAM = np.dtype([("key", np.uint64), ("block", np.intp), ("start", np.intp),
-                    ("slot", np.intp), ("base", np.float64), ("sum", np.float64)])
+                    ("base", np.float64), ("sum", np.float64)])
 
 
 def sample_first_reception(config: SystemConfig, node: int, reps: int,
@@ -661,9 +663,9 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
     for the first point of its stream after the reception.  Replications run
     in one lockstep batch, and new ones join it whenever half of it has
     ended; the streams are keyed, so a replication's points do not depend on
-    when it joins.  A replication that would read past block ``_LAST_BLOCK``
-    of a stream before it ends is rerun by the engine of ``simulate``
-    (``_reception_times``), which builds no log.
+    when it joins or on its streams' batch indices.  A replication that would
+    read past block ``_LAST_BLOCK`` of a stream before it ends is rerun by the
+    engine of ``simulate`` (``_reception_times``), which builds no log.
     """
     if not 1 <= reps <= 2 ** 32:
         raise ValueError("reps must be in [1, 2**32]")
@@ -674,16 +676,19 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
     left = stop.node - lo
     slots = np.arange(lo + 1, lo + n + 1, dtype=np.uint64)
     rates = np.array(config.node_rates())
-    # stream r * n + j of the batch is node lo + j of its row r
-    recs = _StreamBatch(seed, lambda u, s: _exp_gaps(u, rates[s % n, None]))
+    # a recovery key's slot is its node + 1
+    recs = _StreamBatch(seed, lambda u, key: _exp_gaps(
+        u, rates[(key & _LO32).astype(np.intp) - (lo + 1), None]))
     ins = None
     if not config.input.is_permanent:
-        ins = _StreamBatch(seed, lambda u, s: config.input.quantile(u))
+        ins = _StreamBatch(seed, lambda u, key: config.input.quantile(u))
     size = max(1, _CHUNK_POINTS // (_FIRST_BLOCK * (n + (ins is not None))))
     out = np.empty(reps, dtype=np.float64)
     # rep[r]: the replication in row r; rec[r, j]: when its node lo + j last
-    # turned or next turns on, so the node is on at t iff rec <= t
+    # turned or next turns on, so the node is on at t iff rec <= t; sid[r, j]
+    # and isid[r]: the batch indices of that node's stream and of the input's
     rep, rec = np.empty(0, dtype=np.int64), np.empty((0, n))
+    sid, isid = np.empty((0, n), dtype=np.intp), np.empty(0, dtype=np.intp)
     rerun, admitted = [], 0
     while len(rep) or admitted < reps:
         if admitted < reps and len(rep) <= size // 2:
@@ -692,30 +697,31 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
             key1 = new.astype(np.uint64) << _SH32
             cells = recs.admit((key1[:, None] | slots).ravel())
             if ins is not None:
-                ins.admit(key1)
+                isid = np.concatenate((isid, ins.admit(key1)))
             first = np.concatenate([
                 recs.after(c, np.zeros(len(c)), np.less_equal)
                 for c in np.split(cells, range(_PHILOX_SLICE, len(cells), _PHILOX_SLICE))])
             rep, rec = np.concatenate((rep, new)), np.concatenate((rec, first.reshape(-1, n)))
-        rows = np.arange(len(rep))
+            sid = np.concatenate((sid, cells.reshape(-1, n)))
         t = rec[:, -1].copy()
         if ins is not None:
             # inputs before the last node recovers are blocked
-            t = ins.after(rows, t, np.less)
+            t = ins.after(isid, t, np.less)
         swept = np.logical_and.accumulate(rec[:, ::-1] <= t[:, None], axis=1)[:, ::-1]
         done = swept[:, left]
         out[rep[done]] = t[done]
         r, k = np.nonzero(swept & ~done[:, None])
-        rec[r, k] = recs.after(r * n + k, t[r], np.less_equal)
+        rec[r, k] = recs.after(sid[r, k], t[r], np.less_equal)
         # a stream that ran out leaves NaN, at admission or in this step
         spill = np.isnan(t) | np.isnan(rec).any(axis=1)
         rerun.append(rep[spill])
         keep = ~(done | spill)
         if not keep.all():
-            rep, rec = rep[keep], rec[keep]
-            recs.keep(np.repeat(keep, n))
+            recs.release(sid[~keep].ravel())
+            rep, rec, sid = rep[keep], rec[keep], sid[keep]
             if ins is not None:
-                ins.keep(keep)
+                ins.release(isid[~keep])
+                isid = isid[keep]
     for r in np.concatenate(rerun).tolist():
         out[r] = _reception_times(config, RandomnessPlan(seed, r), stop, stop.node)[1]
     return EmpiricalDistribution.from_values(out)
@@ -723,8 +729,7 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
 
 class _StreamBatch:
     """Keyed streams ``(seed, key)`` read as ``_KeyedStream`` reads one;
-    stream s is the s-th of the batch, counting only streams that are still
-    kept.
+    stream s is the one that ``admit`` gave index s, until it is released.
 
     A stream holds one row of ``_FIRST_BLOCK`` points, the window of the
     uniforms w .. w + 15 of its block b (w a multiple of 16): ``admit``
@@ -732,48 +737,39 @@ class _StreamBatch:
     overwrites its row with the next window, drawn by ``_draw_blocks``.  A
     block's points are its base, the point before it, plus the running sums
     of its gaps, so a stream carries the base and the sum to its window's
-    end, and its points are those of ``_KeyedStream``, bit for bit.  Rows of
-    dropped streams are reused before the one store grows.  Each stream's
-    state is one ``_STREAM`` record, in an array that grows in place as the
-    store does.  ``gap(u, s)`` maps the uniforms of streams ``s``, one row
-    each, to gaps.
+    end, and its points are those of ``_KeyedStream``, bit for bit.  Stream
+    s is record s of one ``_STREAM`` array and row s of the store, and
+    released indices are reused before both grow.  ``gap(u, key)`` maps the
+    uniforms of the streams ``key``, one row each, to gaps.
     """
 
     def __init__(self, seed: int, gap):
         self._seed, self._gap = seed, gap
-        self._streams, self._count = np.zeros(0, _STREAM), 0
-        self._rows, self._fill = np.empty((0, _FIRST_BLOCK)), 0
+        self._streams = np.zeros(0, _STREAM)
+        self._rows = np.empty((0, _FIRST_BLOCK))
         self._free = np.empty(0, dtype=np.intp)
 
     def admit(self, keys: np.ndarray) -> np.ndarray:
         """Add the streams ``keys`` at block 0; return their indices."""
-        m, fill, free, count = len(keys), self._fill, self._free, self._count
-        grow = max(0, m - len(free))
-        # both stores grow in place, so their old entries are not held twice;
-        # no view of either outlives a call
-        if fill + grow > len(self._rows):
-            self._rows.resize((max(len(self._rows) * 5 // 4, fill + grow), _FIRST_BLOCK),
-                              refcheck=False)
-        if count + m > len(self._streams):
-            self._streams.resize(max(len(self._streams) * 5 // 4, count + m), refcheck=False)
-        new = self._streams[count:count + m]
-        new[...] = 0
-        new["key"], new["slot"] = keys, np.concatenate((free[:m], np.arange(fill, fill + grow)))
-        self._free, self._fill, self._count = free[m:], fill + grow, count + m
-        s = np.arange(count, count + m)
+        m, free, size = len(keys), self._free, len(self._streams)
+        if m > len(free):
+            # both stores grow in place, so their old entries are not held
+            # twice; no view of either outlives a call
+            grown = max(size * 5 // 4, size + m - len(free))
+            self._streams.resize(grown, refcheck=False)
+            self._rows.resize((grown, _FIRST_BLOCK), refcheck=False)
+            free = np.concatenate((free, np.arange(size, grown)))
+        s, self._free = free[:m], free[m:]
+        self._streams[s] = 0
+        self._streams["key"][s] = keys
         for i in range(0, m, _PHILOX_SLICE):     # each slice straight into the store
             self._write(s[i:i + _PHILOX_SLICE],
                         _philox_uniforms(self._seed, keys[i:i + _PHILOX_SLICE], 0, _FIRST_BLOCK))
         return s
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the streams where ``mask`` is false, releasing their rows;
-        the kept streams are renumbered in order."""
-        live = self._streams[:self._count]
-        self._free = np.concatenate((self._free, live["slot"][~mask]))
-        raw = live.view(f"V{_STREAM.itemsize}")     # whole records, which numpy gathers fast
-        self._count = np.count_nonzero(mask)
-        raw[:self._count] = raw[mask]
+    def release(self, s: np.ndarray) -> None:
+        """Free the indices ``s`` for streams admitted later."""
+        self._free = np.concatenate((self._free, s))
 
     def after(self, s: np.ndarray, t: np.ndarray, before) -> np.ndarray:
         """The first point p of each stream s[i] with ``not before(p, t[i])``,
@@ -783,7 +779,7 @@ class _StreamBatch:
         out = np.full(len(s), np.nan)
         todo = np.arange(len(s))
         while len(todo):
-            pts = self._rows[self._streams["slot"][s[todo]]]
+            pts = self._rows[s[todo]]
             pos = before(pts, t[todo, None]).sum(axis=1)
             hit = pos < _FIRST_BLOCK
             out[todo[hit]] = pts[hit, pos[hit]]
@@ -802,7 +798,7 @@ class _StreamBatch:
         s, block, start, ended = s[moved], block[moved], start[moved], ended[moved]
         # the next block goes on from the last point of this one
         e = s[ended]
-        streams["base"][e], streams["sum"][e] = self._rows[streams["slot"][e], -1], 0.0
+        streams["base"][e], streams["sum"][e] = self._rows[e, -1], 0.0
         block[ended] += 1
         start[ended] = 0
         streams["block"][s], streams["start"][s] = block, start
@@ -814,12 +810,12 @@ class _StreamBatch:
     def _write(self, s: np.ndarray, u: np.ndarray) -> None:
         """Carry the running sums of streams s on by the gaps of the
         uniforms ``u``, one window a row, and store the window's points."""
-        gaps = self._gap(u, s)
+        gaps = self._gap(u, self._streams["key"][s])
         gaps[:, 0] += self._streams["sum"][s]
         np.cumsum(gaps, axis=1, out=gaps)
         self._streams["sum"][s] = gaps[:, -1]
         gaps += self._streams["base"][s, None]
-        self._rows[self._streams["slot"][s]] = gaps
+        self._rows[s] = gaps
 
 
 def sample_interreception(config: SystemConfig, node: int, gap_count: int,

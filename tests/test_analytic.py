@@ -1214,3 +1214,27 @@ class TestExactMeans:
         assert analytic.harmonic_lower_bound(3) == pytest.approx(11 / 6, abs=1e-15)
         for n in range(1, 65):
             assert analytic.harmonic_lower_bound(n) <= float(analytic.exact_mean_equal_rates(n))
+
+
+def _unevaluated(s):
+    pytest.fail("the law was evaluated before the range check")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: analytic.LaplaceEval(lambda s: s, "bogus"), "unknown transform kind 'bogus'"),
+    (lambda: analytic.subset_expansion(_unevaluated, [1.0], -1.0), "finite s >= 0, got -1.0"),
+    (lambda: analytic.subset_expansion(_unevaluated, [1.0], math.nan), "finite s >= 0, got nan"),
+    (lambda: analytic.subset_expansion(_unevaluated, [1.0], math.inf), "finite s >= 0, got inf"),
+    (lambda: analytic.exact_mean_equal_rates(0), "n must be >= 1"),
+    (lambda: analytic.harmonic_lower_bound(0), "n must be >= 1"),
+], ids=["laplace-kind", "subset-negative", "subset-nan", "subset-inf", "mean-n0", "harmonic-n0"])
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_one_sample_empirical_law_is_its_exponential():
+    # one sample takes _tree_sum's one-row path: phi(s) = 1 - exp(-v s)
+    v, s = 0.7, np.array([1e-3, 0.5, 1.0, 40.0])
+    phi = analytic.transform_of_input(core.InputModel.empirical([v]))
+    assert np.array_equal(phi(s), -np.expm1(-v * s))

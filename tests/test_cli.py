@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -379,3 +380,36 @@ class TestExitCodes:
         _, out, _ = run_cli(["simulate", "--rates", "explicit:1", "--input",
                              "permanent", "--stop", "first:1"], capsys)
         assert "# seed: 123" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--rates", "logsq:1", "--input", "permanent", "--nodes", "1:2"],
+     "logsq takes no parameters, got '1'"),
+    (["simulate", "--rates", "explicit:1", "--input", "exp:abc"], "bad input spec 'exp:abc'"),
+    (["simulate", "--rates", "explicit:1", "--input", "empirical:no/such/file"],
+     "cannot read empirical samples 'no/such/file'"),
+    (["frozen", "--instance", "geometric:abc", "--max", "3"],
+     "bad instance spec 'geometric:abc'"),
+    (["frozen", "--instance", "foo", "--max", "3"], "unknown instance kind 'foo'"),
+    (["transform", "--rates", "linear:1", "--input", "exp:1", "--s-grid", "1"],
+     "transform works on explicit rate lists"),
+    (["limit", "--rates", "linear:1"], r"limit needs --ladder \(or --certify\)"),
+], ids=["logsq-parameter", "exp-not-a-number", "empirical-missing", "geometric-not-a-number",
+        "instance-kind", "transform-parametric", "limit-no-table"])
+def test_usage_refusals(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert re.search("usage error: .*" + message, err)
+
+
+def test_mean_of_one_node_has_no_ratio(capsys):
+    code, out, _ = run_cli(["mean", "--n", "1"], capsys)
+    assert code == 0
+    assert re.fullmatch(r"1,1\.0+,", out.splitlines()[-1])
+
+
+def test_relative_out_resolves_under_outdir(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
+    code, out, _ = run_cli(["mean", "--n", "3", "--out", "mean.csv"], capsys)
+    assert code == 0 and out == ""
+    assert (tmp_path / "mean.csv").read_text().splitlines()[-1].startswith("3,2.666666")

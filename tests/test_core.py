@@ -452,3 +452,38 @@ def test_event_log_breach(events, restricted, horizon, message):
     log = core.EventLog(1, 2, horizon, False, events, restricted)
     with pytest.raises(core.EventLogError, match=message):
         core.validate_event_log(log)
+
+
+_UNIT = core.RateSchedule.constant(1.0)
+
+
+def _one_node_permanent_log():
+    cfg = core.SystemConfig(1, 1, _UNIT, core.InputModel.permanent())
+    return sim.simulate(cfg, sim.RandomnessPlan(3, 0), sim.StopRule.horizon(2.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: core.RateSchedule("bogus"), core.ScheduleError, "unknown rate family 'bogus'"),
+    (lambda: core.RateSchedule.explicit([]), core.ScheduleError,
+     "explicit schedule needs at least one rate"),
+    (lambda: core.RateSchedule.log_family(0, 0), core.ScheduleError, "theta0 must be positive"),
+    (lambda: core.RateSchedule.log_family(1, -1), core.ScheduleError, "alpha must be >= 0"),
+    (lambda: core.InputModel("bogus"), ValueError, "unknown input kind 'bogus'"),
+    (lambda: core.SystemConfig(-1, 0, _UNIT, core.InputModel.permanent()), ValueError,
+     "node indices must be >= 0"),
+    (lambda: core.SystemConfig(3, 1, _UNIT, core.InputModel.exponential(1.0)), ValueError,
+     "right_node must be >= left_node - 1"),
+    (lambda: core.SystemConfig(1, 2, core.RateSchedule.linear(1e308), core.InputModel.permanent()),
+     core.ScheduleError, "rate at node 2 is not positive: inf"),
+    (lambda: _one_node_permanent_log().restrict(2), core.DimensionMismatchError,
+     "node 2 outside log range"),
+    (lambda: _one_node_permanent_log().restrict(0), core.DimensionMismatchError,
+     "node 0 outside log range"),
+    (lambda: core.log_to_sequence(_one_node_permanent_log()), core.DegenerateRangeError,
+     "log has no observable nodes left of the input"),
+], ids=["rate-family", "explicit-empty", "logfam-theta0", "logfam-alpha", "input-kind",
+        "negative-node", "reversed-range", "infinite-rate", "restrict-above", "restrict-below",
+        "one-node-permanent-sequence"])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

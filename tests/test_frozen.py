@@ -339,3 +339,18 @@ class TestOneRightRecordScan:
             frozen.check_candidate(seq, candidate([], 0))
         with pytest.raises(frozen.DuplicateThresholdError, match=r"^t_2 == t_1 == 0\.25; "):
             _two_scan_check(seq, candidate([], 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: frozen.ThresholdSequence("bogus"), "unknown threshold family 'bogus'"),
+    (lambda: frozen.ThresholdSequence("prefix", prefix=(0.5,)), "a prefix needs a tail family"),
+    (lambda: frozen.ThresholdSequence.harmonic().value(0), "indices start at 1"),
+    (lambda: frozen.ThresholdSequence.harmonic().tail_index(0), "eps must be positive"),
+    (lambda: frozen.BlockedCandidate(frozenset(), -1, False), "horizon must be >= 0"),
+    (lambda: frozen.BlockedCandidate(frozenset({3}), 2, True),
+     r"described indices must lie in 1\.\.horizon"),
+], ids=["kind", "prefix-no-tail", "value-0", "tail-index-0", "horizon-negative",
+        "index-past-horizon"])
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

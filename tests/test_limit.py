@@ -353,3 +353,26 @@ class TestExtension:
     def test_short_truncation_warns(self):
         with pytest.warns(UserWarning, match="4k"):
             limit.sample_extension(3, 6, horizon=5.0, rates=LINEAR, seed=44)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: limit.exp_tail_sum(LINEAR, 1.0, 0), "start index must be >= 1"),
+    (lambda: limit.sample_truncation_law(3, 2, LINEAR, 10, seed=1), r"need 1 <= k <= l"),
+    (lambda: limit.sample_extension(3, 2, 5.0, LINEAR, seed=1), r"need 1 <= k <= l"),
+    (lambda: limit.dense_signal_certificate(LINEAR, 0, 10.0), "node index must be >= 1"),
+    (lambda: limit.sample_extension(1, 4, 1e-9, LINEAR, seed=1),
+     "no receptions at node 1 within the horizon; extend it"),
+], ids=["tail-start-0", "truncation-k-above-l", "extension-k-above-l", "certificate-k0",
+        "extension-no-reception"])
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_explicit_schedule_truncation_warns_nothing():
+    # an explicit schedule has no case to classify
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = limit.sample_truncation_law(1, 3, core.RateSchedule.explicit([1.0, 2.0, 3.0]),
+                                           50, seed=2)
+    assert dist.count == 50

@@ -374,7 +374,9 @@ class TestBatchedKernel:
         seen, admit = set(), sim._StreamBatch.admit
 
         def watched_admit(batch, keys):
-            seen.update(batch._streams["block"][:batch._count].tolist())
+            # the live streams: every index that is not on the free list
+            live = np.setdiff1d(np.arange(len(batch._streams)), batch._free)
+            seen.update(batch._streams["block"][live].tolist())
             return admit(batch, keys)
 
         monkeypatch.setattr(sim._StreamBatch, "admit", watched_admit)
@@ -832,3 +834,16 @@ class TestRandomConfigs:
         for j, rate in enumerate(rates, start=1):
             offered = set(plan.recovery_points(j, rate, 5.0))
             assert set(log.recoveries_at(j)) <= offered
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sim.RandomnessPlan(1).recovery_key(2**32), "stream slot out of range"),
+    (lambda: sim.EmpiricalDistribution(np.array([2.0, 1.0])), "samples must be sorted ascending"),
+    (lambda: sim.coupled_compare(unit_chain(2, core.InputModel.exponential(1.0)),
+                                 unit_chain(2, core.InputModel.exponential(1.0), lo=2), 1,
+                                 sim.StopRule.horizon(1.0)),
+     "coupled configs must share the node range"),
+], ids=["slot-range", "unsorted-sample", "coupled-ranges"])
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

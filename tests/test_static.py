@@ -4,7 +4,8 @@ runs with ``-O``, which strips ``assert`` statements and sets
 ``__debug__`` and ``sys.flags.optimize``; the package imports nothing
 beyond the standard library and its declared dependencies; and it never
 sets mpmath's global precision, so every width is scoped by ``workprec``
-and none leaks to the caller."""
+and none leaks to the caller; and every random draw comes from a seeded
+generator."""
 
 import ast
 import sys
@@ -73,6 +74,31 @@ def _global_precision_writes(source: str) -> list[tuple[int, str]]:
     return found
 
 
+# the numpy.random names that draw only from a given key or seed
+_SEEDED_DRAWS = {"Philox", "Generator", "default_rng"}
+
+
+def _unseeded_draws(source: str) -> list[tuple[int, str]]:
+    """(line, construct) for each import of the ``random`` module, each
+    ``np.random.<name>`` or ``numpy.random.<name>`` outside ``_SEEDED_DRAWS``,
+    and each ``default_rng()`` call with no seed, in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "random"):
+            found.append((node.lineno, "import random"))
+        elif (isinstance(node, ast.Attribute) and node.attr not in _SEEDED_DRAWS
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "random"
+              and isinstance(node.value.value, ast.Name)
+              and node.value.value.id in ("np", "numpy")):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.Call) and not (node.args or node.keywords)
+              and "default_rng" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
 def test_no_module_depends_on_python_optimize():
     planted = ("assert x\nif __debug__:\n    pass\nimport sys\ny = sys.flags.optimize\n"
                "from sys import flags\nz = flags.optimize\n")
@@ -104,4 +130,18 @@ def test_no_module_sets_global_mpmath_precision():
         (3, "mp.prec"), (4, "mpmath.mp.dps"), (5, "mp.dps")]
     found = {path.name: hits for path in _modules()
              if (hits := _global_precision_writes(path.read_text()))}
+    assert found == {}
+
+
+def test_every_draw_is_seeded():
+    planted = ("import random\nfrom random import random as r\nimport numpy as np\n"
+               "x = np.random.rand(3)\ng = np.random.default_rng()\n"
+               "h = np.random.default_rng(7)\nb = np.random.Philox(key=[0, 0])\n"
+               "y = numpy.random.normal()\nfrom numpy.random import default_rng\n"
+               "z = default_rng()\nw = np.random.Generator(b).random()\n")
+    assert _unseeded_draws(planted) == [
+        (1, "import random"), (2, "import random"), (4, "np.random.rand"),
+        (5, "np.random.default_rng()"), (8, "numpy.random.normal"), (10, "default_rng()")]
+    found = {path.name: hits for path in _modules()
+             if (hits := _unseeded_draws(path.read_text()))}
     assert found == {}
