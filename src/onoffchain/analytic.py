@@ -28,7 +28,7 @@ __all__ = [
     "LaplaceEval", "HighPrecisionReal", "EULER_GAMMA", "EXP_EULER_GAMMA",
     "PermanentInputError", "ImproperTransformError", "ComplexityError",
     "PrecisionError", "ConvergenceError",
-    "transform_of_input", "node_step", "chain_transform", "subset_expansion",
+    "transform_of_input", "chain_transform", "subset_expansion",
     "mean_from_transform", "permanent_reduce", "exact_mean_equal_rates",
     "exact_mean_small_fraction", "euler_ratio", "harmonic_lower_bound",
 ]
@@ -154,28 +154,13 @@ def _input_law(model: InputModel, lib=np):
     return emp
 
 
-def node_step(phi: LaplaceEval, rate: float) -> LaplaceEval:
-    """Transform after the stream passes one node with the given rate."""
-    (rate,) = _positive_rates([rate])
-
-    def stepped(s):
-        high = float(np.max(s, initial=0.0))    # numpy warns on an overflowing add
-        if not math.isfinite(high + rate):
-            raise ValueError(f"s = {high!r} plus the rate {rate!r} is beyond the float range")
-        num, den = phi(s), phi(s + rate)
-        _refuse_underflow(s, ((num < _TINY) & (s != 0.0)) | (den < _TINY),
-                          f"{phi!r} at s or s + {rate!r}")
-        return num / den
-
-    return LaplaceEval(stepped, "composite", f"{phi.label} -> node({rate})")
-
-
 def chain_transform(model: InputModel, rates) -> LaplaceEval:
     """Transform after the input passes a whole chain of rates.
 
     ``rates`` is ordered from the entry node to the observed node; the
-    result does not depend on the order, bit for bit.  Folding ``node_step``
-    gives ``log phi(s) = sum_sigma w_sigma log phi_in(s + sigma)`` over the
+    result does not depend on the order, bit for bit.  Folding the one-node
+    step phi(s)/phi(s + rate) over the rates gives
+    ``log phi(s) = sum_sigma w_sigma log phi_in(s + sigma)`` over the
     distinct subset sums of the rates, weighted as in :func:`_subset_table`.
     The sum cancels bits.  :func:`_table_sum` bounds each point's relative
     error from its own float64 terms and answers in float64 where that bound
@@ -397,8 +382,10 @@ def subset_expansion(phi: LaplaceEval, rates, s: float) -> float:
     even- and odd-sized subsets, with phi evaluated at all 2^L points in one
     array call.  At s = 0 the empty-subset factor vanishes and the value is
     0; extract the mean via :func:`mean_from_transform` instead of dividing
-    here.  Rates or an s whose sums overflow, and a phi below the smallest
-    normal float at some point, are refused with ValueError.
+    here.  It is the float64 oracle of :func:`chain_transform`.  Rates or an
+    s whose sums overflow, and a phi below the smallest normal float at some
+    point, are refused with ValueError, where :func:`chain_transform`
+    recomputes such a point of its input law in mpmath.
     """
     rs = _positive_rates(rates)
     L = len(rs)

@@ -380,15 +380,17 @@ class _Node:
 
 
 def _cascade(config: SystemConfig, plan: RandomnessPlan, stop: StopRule, first: int):
-    """The run ``simulate(config, plan, stop)`` on the nodes from ``first`` to
-    the right end: ``(horizon, inputs, got, recovered)``.
+    """The run ``simulate(config, plan, stop)`` on the nodes from ``first``
+    (or the stop node, if left of it) to the right end: ``(horizon, inputs,
+    reach, recovered)``.
 
     ``inputs`` holds the signal times at the right end up to the horizon
     (under a reception stop, up to the signal that ends the run).
-    ``got[j]`` and ``recovered[j]`` list, window by window, the receptions
-    (as indices into ``inputs``) and the recovery times of node
-    ``left_node + j``; they may run past the horizon, and ``_joined`` cuts
-    them.
+    ``reach[i]`` is the leftmost node, as j for node ``left_node + j``, that
+    signal i reaches, or n if it reaches none, so node j receives exactly
+    the signals with ``reach <= j``.  ``recovered[j]`` lists, window by
+    window, the recovery times of node ``left_node + j``; they may run past
+    the horizon, and ``_joined`` cuts them.
 
     Node j receives exactly those receptions of node j + 1 that find it on,
     and no node acts on the nodes to its right, so the nodes are filtered
@@ -403,11 +405,11 @@ def _cascade(config: SystemConfig, plan: RandomnessPlan, stop: StopRule, first: 
     lo, n = config.left_node, config.n_nodes
     rates = config.node_rates()
     permanent = config.input.is_permanent
-    cap, stop_j, want = stop.time, -1, 0
+    cap, stop_j, want, first = stop.time, -1, 0, first - lo
     if stop.kind != HORIZON:
-        cap, stop_j = math.inf, stop.node - lo
+        # the run ends at the stop node, so it is filtered too
+        cap, stop_j, first = math.inf, stop.node - lo, min(first, stop.node - lo)
         want = stop.count if stop.kind == RECEPTION_COUNT else 1
-    first -= lo
     # nodes first..right filter their signals; under permanent input the
     # last node receives at each of its points, after the one before
     if permanent:
@@ -415,9 +417,8 @@ def _cascade(config: SystemConfig, plan: RandomnessPlan, stop: StopRule, first: 
     else:
         top, right = _KeyedStream(plan.input_key(), config.input.quantile), n - 1
     nodes = {j: _Node(_recovery_stream(plan, lo + j, rates[j])) for j in range(first, right + 1)}
-    got = {j: [np.empty(0, dtype=np.intp)] for j in range(first, n)}
     recovered = {j: [node.first] for j, node in nodes.items()}
-    inputs, offset, seen, horizon, end, last, done = [], 0, 0, cap, None, 0.0, False
+    inputs, reach, offset, seen, horizon, end, last, done = [], [], 0, 0, cap, None, 0.0, False
     while not done:
         block = top.next_block()
         if not inputs:
@@ -434,8 +435,7 @@ def _cascade(config: SystemConfig, plan: RandomnessPlan, stop: StopRule, first: 
             last = block[-1]
             block = block[keep]
         inputs.append(block)
-        a, ids = block, np.arange(offset, offset + len(block))
-        offset += len(block)
+        a, ids, reach_w = block, np.arange(len(block)), np.full(len(block), n)
         for j in range(n - 1, first - 1, -1):
             if not len(a):
                 break
@@ -446,13 +446,15 @@ def _cascade(config: SystemConfig, plan: RandomnessPlan, stop: StopRule, first: 
             if j == stop_j:
                 if seen + len(a) >= want:
                     a, ids = a[:want - seen], ids[:want - seen]
-                    horizon, end, done = float(a[-1]), ids[-1] + 1, True
+                    horizon, end, done = float(a[-1]), offset + ids[-1] + 1, True
                 seen += len(a)
-            got[j].append(ids)
-    inputs = np.concatenate(inputs)[:end]
+            reach_w[ids] = j
+        reach.append(reach_w)
+        offset += len(block)
+    inputs, reach = np.concatenate(inputs)[:end], np.concatenate(reach)[:end]
     if permanent:
         recovered[n - 1] = [inputs]
-    return horizon, inputs, got, recovered
+    return horizon, inputs, reach, recovered
 
 
 def _joined(parts: list, v) -> np.ndarray:
@@ -476,13 +478,10 @@ def simulate(config: SystemConfig, plan: RandomnessPlan, stop: StopRule) -> Even
     """
     _check_stop(config, stop)
     lo, hi, n = config.left_node, config.right_node, config.n_nodes
-    horizon, inputs, got, recovered = _cascade(config, plan, stop, lo)
+    horizon, inputs, reach, recovered = _cascade(config, plan, stop, lo)
     # a reception block reaches from its leftmost receiving node to hi
-    left = np.full(len(inputs), n)
-    for j in range(n - 1, -1, -1):
-        left[_joined(got[j], len(inputs) - 1)] = j
-    blocks = np.flatnonzero(left < n)
-    left = left[blocks] + lo
+    blocks = np.flatnonzero(reach < n)
+    left = reach[blocks] + lo
     recovered = [_joined(recovered[j], horizon) for j in range(n)]
     rec_node = np.repeat(np.arange(lo, hi + 1), [len(r) for r in recovered])
     sizes = (len(rec_node), len(inputs), len(blocks))
@@ -505,8 +504,8 @@ def _reception_times(config: SystemConfig, plan: RandomnessPlan, stop: StopRule,
                      node: int) -> tuple[np.ndarray, float]:
     """The reception times at ``node`` and the horizon of ``simulate(config,
     plan, stop)``, computed only on the nodes they depend on."""
-    horizon, inputs, got, _ = _cascade(config, plan, stop, node)
-    return inputs[_joined(got[node - config.left_node], len(inputs) - 1)], horizon
+    horizon, inputs, reach, _ = _cascade(config, plan, stop, node)
+    return inputs[reach <= node - config.left_node], horizon
 
 
 # ---------------------------------------------------------------------------

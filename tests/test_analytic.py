@@ -76,8 +76,8 @@ def _mp_chain_reference(model, rates, s):
 
 
 def _mp_grid_reference(model, rates, s):
-    """The chain transform at s by folding ``node_step`` in mpmath over the
-    integer grid s + j: phi_k(s + j) = phi_(k-1)(s + j) / phi_(k-1)(s + j + r_k)
+    """The chain transform at s by folding the one-node step in mpmath over
+    the integer grid s + j: phi_k(s + j) = phi_(k-1)(s + j) / phi_(k-1)(s + j + r_k)
     for integer rates r_k, at 160 bits beyond the chain length.  No subset
     sums are formed, so it reaches the long integer-rate chains."""
     assert all(r == int(r) for r in rates)
@@ -218,80 +218,39 @@ class TestInputTransforms:
                 phi(s)
 
 
-class TestNodeStep:
-    def test_direct_substitution(self):
-        phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
-        stepped = analytic.node_step(phi, 1.0)
-        assert stepped(1.0) == pytest.approx((1 / 2) / (2 / 3), abs=1e-15)
-
-    def test_overflowing_point_refused_without_warning(self):
-        # s + rate is formed on an array, where numpy warns on overflow
-        phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
-        stepped = analytic.node_step(phi, 1e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for s in (1e308, np.array([1.0, 1e308])):
-                with pytest.raises(ValueError, match=r"s = 1e\+308 plus the rate 1e\+308"):
-                    stepped(s)
-
-    @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
-    def test_rate_refused_when_built(self, rate):
-        # an infinite rate used to build and fail only at its first evaluation
-        phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
-        with pytest.raises(ValueError, match="recovery rates must be positive and finite"):
-            analytic.node_step(phi, rate)
-
-    def test_underflowing_values_refused(self):
-        # det(1e-300) at s = 1e-20 is a subnormal 1e-320, whose quotient
-        # was 1.1e-5 off; phi(0) = 0 is exact and stays allowed
-        phi = analytic.transform_of_input(core.InputModel.deterministic(1e-300))
-        stepped = analytic.node_step(phi, 1.0)
-        assert stepped(0.0) == 0.0 and stepped(1e-3) == pytest.approx(1e-3 / 1.001, rel=1e-12)
-        with pytest.raises(ValueError, match=r"below the smallest normal float at s = 1e-20"):
-            stepped(np.array([0.0, 1.0, 1e-20]))
-        # and a subnormal denominator, phi(s + rate), under a normal numerator
-        sinking = analytic.LaplaceEval(lambda s: np.where(s < 0.5, s, 1e-310),
-                                       "closed-form", "sinking")
-        with pytest.raises(ValueError, match=r"below the smallest normal float at s = 0\.25"):
-            analytic.node_step(sinking, 1.0)(np.array([0.25, 0.3]))
-
-    def test_huge_rate_approaches_identity(self):
-        phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
-        stepped = analytic.node_step(phi, 1e6)
-        assert abs(stepped(1.0) - phi(1.0)) < 1e-5
-
-    def test_mean_after_one_unit_node(self):
-        phi = analytic.transform_of_input(core.InputModel.exponential(1.0))
-        stepped = analytic.node_step(phi, 1.0)
-        mean = analytic.mean_from_transform(stepped)
-        assert mean == pytest.approx(2.0, rel=1e-7)
-        # simulation oracle for the same quantity
-        cfg = core.SystemConfig(1, 1, core.RateSchedule.explicit([1.0]),
-                                core.InputModel.exponential(1.0))
-        dist = sim.sample_interreception(cfg, 1, 4000, seed=12)
-        assert abs(dist.mean() - mean) <= 3 * dist.stderr()
-
-
 class TestChainTransform:
     def test_empty_chain_is_identity(self):
         model = core.InputModel.exponential(2.0)
         chain = analytic.chain_transform(model, [])
         base = analytic.transform_of_input(model)
         assert chain(1.7) == base(1.7)
+        # and one node of a huge rate nearly is
+        model = core.InputModel.exponential(1.0)
+        huge = analytic.chain_transform(model, [1e6])
+        assert abs(huge(1.0) - analytic.transform_of_input(model)(1.0)) < 1e-5
 
     def test_convolution_identity_mean(self):
         chain = analytic.chain_transform(core.InputModel.exponential(2.0), [1.0])
         assert analytic.mean_from_transform(chain) == pytest.approx(1.5, rel=1e-7)
 
     def test_matches_folded_steps(self):
+        # one unit node by direct substitution in phi(s) = s/(1 + s)
         model = core.InputModel.exponential(1.0)
-        for rates in ([0.7, 2.0, 1.1], [1.0, 1.0, 2.0, 2.0, 2.0, 0.5]):
+        one = analytic.chain_transform(model, [1.0])
+        assert one(1.0) == pytest.approx((1 / 2) / (2 / 3), abs=1e-15)
+        for rates in ([1.0], [0.7, 2.0, 1.1], [1.0, 1.0, 2.0, 2.0, 2.0, 0.5]):
             chain = analytic.chain_transform(model, rates)
-            folded = analytic.transform_of_input(model)
-            for r in rates:
-                folded = analytic.node_step(folded, r)
-            for s in (0.2, 1.0, 4.0):
-                assert chain(s) == pytest.approx(folded(s), rel=1e-12)
+            _assert_matches_reference(chain, model, rates, (0.2, 1.0, 4.0), 1e-12)
+
+    def test_mean_after_one_unit_node(self):
+        mean = analytic.mean_from_transform(
+            analytic.chain_transform(core.InputModel.exponential(1.0), [1.0]))
+        assert mean == pytest.approx(2.0, rel=1e-7)
+        # simulation oracle for the same quantity
+        cfg = core.SystemConfig(1, 1, core.RateSchedule.explicit([1.0]),
+                                core.InputModel.exponential(1.0))
+        dist = sim.sample_interreception(cfg, 1, 4000, seed=12)
+        assert abs(dist.mean() - mean) <= 3 * dist.stderr()
 
     def test_permutation_invariance(self):
         model = core.InputModel.exponential(1.0)
@@ -528,11 +487,11 @@ class TestSubsetExpansion:
                 assert abs(a - b) <= 1e-12 * abs(b), (length, s, a, b)
 
     def test_composites_match_per_point_loop(self):
-        # a node step and chain transforms on both routes: float64 on
+        # a one-node chain and chain transforms on both routes: float64 on
         # distinct rates, mpmath on 24 unit rates (error floor above 2**-30)
         rng = np.random.default_rng(17)
         model = _DIFF_INPUTS["det"]
-        composites = [analytic.node_step(analytic.transform_of_input(model), 1.7),
+        composites = [analytic.chain_transform(model, [1.7]),
                       analytic.chain_transform(model, rng.uniform(0.3, 4.0, size=6)),
                       analytic.chain_transform(model, [1.0] * 24)]
         assert not _takes_mpmath(composites[1], 0.5) and _takes_mpmath(composites[2], 0.5)
@@ -594,7 +553,6 @@ def _array_cases():
         model = _EMP64 if name == "emp" else _DIFF_INPUTS[name]
         base = analytic.transform_of_input(model)
         yield f"{name}-law", base
-        yield f"{name}-node_step", analytic.node_step(base, 1.7)
         yield f"{name}-chain-float", analytic.chain_transform(model, rates)
         yield f"{name}-chain-mpmath", analytic.chain_transform(model, [1.0] * 24)
     # phi_in(1e-300) underflows, so that point alone goes to mpmath

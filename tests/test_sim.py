@@ -434,6 +434,7 @@ def assert_same_run(cfg, plan, stop):
     assert got.horizon == want.horizon
     assert got.events == want.events
     assert got.permanent == want.permanent
+    return got
 
 
 class TestCascadeEngine:
@@ -452,7 +453,13 @@ class TestCascadeEngine:
                           sim.StopRule.reception_count(node, 15)]
             for stop in stops:
                 for rep in range(3):
-                    assert_same_run(cfg, sim.RandomnessPlan(11 + rep, rep), stop)
+                    plan = sim.RandomnessPlan(11 + rep, rep)
+                    log = assert_same_run(cfg, plan, stop)
+                    # the cascade cut at each node is the full run read there
+                    for node in range(1, n + 1) if rep == 0 else ():
+                        times, horizon = sim._reception_times(cfg, plan, stop, node)
+                        assert horizon == log.horizon
+                        assert np.array_equal(bits(times), bits(log.receptions_at(node)))
 
     def test_filter_is_the_orbit_of_the_index_map(self):
         # from a reception at signal A[i] the node recovers at the first point
