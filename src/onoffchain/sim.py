@@ -28,16 +28,16 @@ tests keep as the oracle.
 ``sample_first_reception`` runs replications in one lockstep batch,
 reception by reception.  Replications join it in groups whenever half of it
 has ended, so it never runs out a chunk's slowest replications alone.  A
-stream has one index in the batch, for its state and its window alike, and
-an ended replication's indices go back to a free list.  A stream holds one
-window of 16 points of its current block, drawn straight from its counter:
-block 0 of a group's streams at once, by a numpy Philox that matches the
-scalar draw bit for bit, and each later window when a lookup passes the one
-before.  Carrying the block's running sum from window to window gives the
-floats of ``simulate``, and the streams are keyed, so a replication's floats
-do not depend on when it joined.  A replication that would need a block past
-a fixed budget is rerun by the engine of ``simulate``, which then builds no
-log.
+running replication holds a lane of the batch, which fixes the indices of
+its streams, and an ended one's lane goes back to a free list, so the batch
+is allocated once.  A stream holds one window of 16 points of its current
+block, drawn straight from its counter: block 0 of a group's streams at
+once, by a numpy Philox that matches the scalar draw bit for bit, and each
+later window when a lookup passes the one before.  Carrying the block's
+running sum from window to window gives the floats of ``simulate``, and the
+streams are keyed, so a replication's floats do not depend on when it
+joined or on its lane.  A replication that would need a block past a fixed
+budget is rerun by the engine of ``simulate``, which then builds no log.
 """
 
 from __future__ import annotations
@@ -633,7 +633,7 @@ def dominance_check(lower: EmpiricalDistribution, upper: EmpiricalDistribution,
 
 # The batched kernel runs one batch of replications whose streams hold
 # _CHUNK_POINTS live points, one window of _FIRST_BLOCK points a stream, and
-# the indices of ended streams are reused.  Whenever half the batch has
+# the lanes of ended replications are reused.  Whenever half the batch has
 # ended it admits a group, drawing their block 0 into the store and reading
 # their first points _PHILOX_SLICE streams at a time; each later window, up
 # to the end of block _LAST_BLOCK, is drawn when a lookup passes the one before.
@@ -661,8 +661,10 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
     are on, the maximal all-on suffix switches off, and each swept node waits
     for the first point of its stream after the reception.  Replications run
     in one lockstep batch, and new ones join it whenever half of it has
-    ended; the streams are keyed, so a replication's points do not depend on
-    when it joins or on its streams' batch indices.  A replication that would
+    ended.  Each running replication holds a lane c < min(reps, batch rows)
+    from one free list and reads node lo + j from recovery stream c n + j
+    and its input from input stream c; the streams are keyed, so its points
+    do not depend on when it joins or on its lane.  A replication that would
     read past block ``_LAST_BLOCK`` of a stream before it ends is rerun by the
     engine of ``simulate`` (``_reception_times``), which builds no log.
     """
@@ -675,60 +677,58 @@ def sample_first_reception(config: SystemConfig, node: int, reps: int,
     left = stop.node - lo
     slots = np.arange(lo + 1, lo + n + 1, dtype=np.uint64)
     rates = np.array(config.node_rates())
-    # a recovery key's slot is its node + 1
-    recs = _StreamBatch(seed, lambda u, key: _exp_gaps(
-        u, rates[(key & _LO32).astype(np.intp) - (lo + 1), None]))
+    size = max(1, _CHUNK_POINTS // (_FIRST_BLOCK * (n + (not config.input.is_permanent))))
+    cap = min(reps, size)
+    # the replication in lane c reads node j from stream c n + j
+    recs = _StreamBatch(seed, lambda u, s: _exp_gaps(u, rates[s % n, None]), cap * n)
     ins = None
     if not config.input.is_permanent:
-        ins = _StreamBatch(seed, lambda u, key: config.input.quantile(u))
-    size = max(1, _CHUNK_POINTS // (_FIRST_BLOCK * (n + (ins is not None))))
+        ins = _StreamBatch(seed, lambda u, s: config.input.quantile(u), cap)
     out = np.empty(reps, dtype=np.float64)
     # rep[r]: the replication in row r; rec[r, j]: when its node lo + j last
-    # turned or next turns on, so the node is on at t iff rec <= t; sid[r, j]
-    # and isid[r]: the batch indices of that node's stream and of the input's
-    rep, rec = np.empty(0, dtype=np.int64), np.empty((0, n))
-    sid, isid = np.empty((0, n), dtype=np.intp), np.empty(0, dtype=np.intp)
-    rerun, admitted = [], 0
+    # turned or next turns on, so the node is on at t iff rec <= t; lane[r]:
+    # its lane, free again once it ends
+    rep, rec, lane = np.empty(0, dtype=np.int64), np.empty((0, n)), np.empty(0, dtype=np.intp)
+    free, rerun, admitted = np.arange(cap), [], 0
     while len(rep) or admitted < reps:
         if admitted < reps and len(rep) <= size // 2:
             new = np.arange(admitted, min(reps, admitted + size - len(rep)))
             admitted += len(new)
+            lanes, free = free[:len(new)], free[len(new):]
             key1 = new.astype(np.uint64) << _SH32
-            cells = recs.admit((key1[:, None] | slots).ravel())
+            cells = (lanes[:, None] * n + np.arange(n)).ravel()
+            recs.admit(cells, (key1[:, None] | slots).ravel())
             if ins is not None:
-                isid = np.concatenate((isid, ins.admit(key1)))
+                ins.admit(lanes, key1)
             first = np.concatenate([
                 recs.after(c, np.zeros(len(c)), np.less_equal)
                 for c in np.split(cells, range(_PHILOX_SLICE, len(cells), _PHILOX_SLICE))])
             rep, rec = np.concatenate((rep, new)), np.concatenate((rec, first.reshape(-1, n)))
-            sid = np.concatenate((sid, cells.reshape(-1, n)))
+            lane = np.concatenate((lane, lanes))
         t = rec[:, -1].copy()
         if ins is not None:
             # inputs before the last node recovers are blocked
-            t = ins.after(isid, t, np.less)
+            t = ins.after(lane, t, np.less)
         swept = np.logical_and.accumulate(rec[:, ::-1] <= t[:, None], axis=1)[:, ::-1]
         done = swept[:, left]
         out[rep[done]] = t[done]
         r, k = np.nonzero(swept & ~done[:, None])
-        rec[r, k] = recs.after(sid[r, k], t[r], np.less_equal)
+        rec[r, k] = recs.after(lane[r] * n + k, t[r], np.less_equal)
         # a stream that ran out leaves NaN, at admission or in this step
         spill = np.isnan(t) | np.isnan(rec).any(axis=1)
         rerun.append(rep[spill])
         keep = ~(done | spill)
         if not keep.all():
-            recs.release(sid[~keep].ravel())
-            rep, rec, sid = rep[keep], rec[keep], sid[keep]
-            if ins is not None:
-                ins.release(isid[~keep])
-                isid = isid[keep]
+            free = np.concatenate((free, lane[~keep]))
+            rep, rec, lane = rep[keep], rec[keep], lane[keep]
     for r in np.concatenate(rerun).tolist():
         out[r] = _reception_times(config, RandomnessPlan(seed, r), stop, stop.node)[1]
     return EmpiricalDistribution.from_values(out)
 
 
 class _StreamBatch:
-    """Keyed streams ``(seed, key)`` read as ``_KeyedStream`` reads one;
-    stream s is the one that ``admit`` gave index s, until it is released.
+    """``capacity`` keyed streams ``(seed, key)``, read as ``_KeyedStream``
+    reads one; stream s is the one last admitted at index s.
 
     A stream holds one row of ``_FIRST_BLOCK`` points, the window of the
     uniforms w .. w + 15 of its block b (w a multiple of 16): ``admit``
@@ -737,38 +737,23 @@ class _StreamBatch:
     block's points are its base, the point before it, plus the running sums
     of its gaps, so a stream carries the base and the sum to its window's
     end, and its points are those of ``_KeyedStream``, bit for bit.  Stream
-    s is record s of one ``_STREAM`` array and row s of the store, and
-    released indices are reused before both grow.  ``gap(u, key)`` maps the
-    uniforms of the streams ``key``, one row each, to gaps.
+    s is record s of one ``_STREAM`` array and row s of the store, both
+    allocated once.  ``gap(u, s)`` maps the uniforms of the streams s, one
+    row each, to gaps.
     """
 
-    def __init__(self, seed: int, gap):
+    def __init__(self, seed: int, gap, capacity: int):
         self._seed, self._gap = seed, gap
-        self._streams = np.zeros(0, _STREAM)
-        self._rows = np.empty((0, _FIRST_BLOCK))
-        self._free = np.empty(0, dtype=np.intp)
+        self._streams = np.zeros(capacity, _STREAM)
+        self._rows = np.empty((capacity, _FIRST_BLOCK))
 
-    def admit(self, keys: np.ndarray) -> np.ndarray:
-        """Add the streams ``keys`` at block 0; return their indices."""
-        m, free, size = len(keys), self._free, len(self._streams)
-        if m > len(free):
-            # both stores grow in place, so their old entries are not held
-            # twice; no view of either outlives a call
-            grown = max(size * 5 // 4, size + m - len(free))
-            self._streams.resize(grown, refcheck=False)
-            self._rows.resize((grown, _FIRST_BLOCK), refcheck=False)
-            free = np.concatenate((free, np.arange(size, grown)))
-        s, self._free = free[:m], free[m:]
+    def admit(self, s: np.ndarray, keys: np.ndarray) -> None:
+        """Start the streams ``keys`` at block 0 at the indices ``s``."""
         self._streams[s] = 0
         self._streams["key"][s] = keys
-        for i in range(0, m, _PHILOX_SLICE):     # each slice straight into the store
+        for i in range(0, len(s), _PHILOX_SLICE):     # each slice straight into the store
             self._write(s[i:i + _PHILOX_SLICE],
                         _philox_uniforms(self._seed, keys[i:i + _PHILOX_SLICE], 0, _FIRST_BLOCK))
-        return s
-
-    def release(self, s: np.ndarray) -> None:
-        """Free the indices ``s`` for streams admitted later."""
-        self._free = np.concatenate((self._free, s))
 
     def after(self, s: np.ndarray, t: np.ndarray, before) -> np.ndarray:
         """The first point p of each stream s[i] with ``not before(p, t[i])``,
@@ -809,7 +794,7 @@ class _StreamBatch:
     def _write(self, s: np.ndarray, u: np.ndarray) -> None:
         """Carry the running sums of streams s on by the gaps of the
         uniforms ``u``, one window a row, and store the window's points."""
-        gaps = self._gap(u, self._streams["key"][s])
+        gaps = self._gap(u, s)
         gaps[:, 0] += self._streams["sum"][s]
         np.cumsum(gaps, axis=1, out=gaps)
         self._streams["sum"][s] = gaps[:, -1]

@@ -259,17 +259,25 @@ class TestBatchedKernel:
         got = sim.sample_first_reception(cfg, 1, reps, seed)
         assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, reps, seed)))
 
-    @pytest.mark.parametrize("rates, model", [
+    @pytest.mark.parametrize("rates, model, last, reps, spills", [
         # the fast right node recovers far more than 80 times before the
         # slow left one does
-        ([0.05, 40.0], core.InputModel.permanent()),
+        ([0.05, 40.0], core.InputModel.permanent(), 1, 30, 20),
         # inputs arrive far more than 80 times before the node recovers
-        ([0.05], core.InputModel.exponential(40.0)),
-    ], ids=["recovery-stream", "input-stream"])
-    def test_spilled_replications_handed_to_simulate(self, monkeypatch, rates, model):
+        ([0.05], core.InputModel.exponential(40.0), 1, 30, 20),
+        # a ten times slower left node passes the real budget as well
+        ([0.005, 40.0], core.InputModel.permanent(), None, 12, 1),
+        ([0.005], core.InputModel.exponential(40.0), None, 12, 1),
+    ], ids=["recovery-stream", "input-stream", "recovery-stream-budget", "input-stream-budget"])
+    def test_spilled_replications_handed_to_simulate(self, monkeypatch, rates, model, last,
+                                                     reps, spills):
         # a budget of blocks 0 and 1 (80 points) stands in for the real one,
-        # which these chains would pass only after many more events
-        monkeypatch.setattr(sim, "_LAST_BLOCK", 1)
+        # which the faster chains would pass only after many more events
+        if last is not None:
+            monkeypatch.setattr(sim, "_LAST_BLOCK", last)
+        # a batch of 4 rows, so replications join in the lanes that rerun
+        # ones gave back
+        monkeypatch.setattr(sim, "_CHUNK_POINTS", 128)
         calls = []
         entry = sim._reception_times
 
@@ -280,10 +288,10 @@ class TestBatchedKernel:
         # a handed-off replication is rerun by the engine's reception entry
         monkeypatch.setattr(sim, "_reception_times", counted)
         cfg = core.SystemConfig(1, len(rates), core.RateSchedule.explicit(rates), model)
-        got = sim.sample_first_reception(cfg, 1, 30, seed=3)
-        assert len(calls) >= 20
+        got = sim.sample_first_reception(cfg, 1, reps, seed=3)
+        assert len(calls) >= spills
         monkeypatch.setattr(sim, "_reception_times", entry)
-        assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, 30, 3)))
+        assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, reps, 3)))
 
     @pytest.mark.parametrize("reps, seed", [(0, 1), (2**32 + 1, 1), (5, -1), (5, 2**64)],
                              ids=["reps-low", "reps-high", "seed-low", "seed-high"])
@@ -351,9 +359,9 @@ class TestBatchedKernel:
             reruns.append(args[1].rep)
             return entry(*args)
 
-        def counted_admit(batch, keys):
+        def counted_admit(batch, s, keys):
             groups[id(batch)] = groups.get(id(batch), 0) + 1
-            return admit(batch, keys)
+            return admit(batch, s, keys)
 
         monkeypatch.setattr(sim, "_reception_times", counted_entry)
         monkeypatch.setattr(sim._StreamBatch, "admit", counted_admit)
@@ -371,19 +379,22 @@ class TestBatchedKernel:
         monkeypatch.setattr(sim, "_CHUNK_POINTS", 2048)
         cfg = analytic.permanent_reduce(core.SystemConfig(
             1, 32, core.RateSchedule.linear(1.0), core.InputModel.permanent()))
-        seen, admit = set(), sim._StreamBatch.admit
+        seen, admit, reps = set(), sim._StreamBatch.admit, 60
 
-        def watched_admit(batch, keys):
-            # the live streams: every index that is not on the free list
-            live = np.setdiff1d(np.arange(len(batch._streams)), batch._free)
-            seen.update(batch._streams["block"][live].tolist())
-            return admit(batch, keys)
+        def watched_admit(batch, s, keys):
+            # a group fills every free lane, so the indices it is not given
+            # are the running streams; only the last group, which holds
+            # replication reps - 1, may leave lanes of ended ones
+            if int(keys.max()) >> 32 < reps - 1:
+                live = np.setdiff1d(np.arange(len(batch._streams)), s)
+                seen.update(batch._streams["block"][live].tolist())
+            return admit(batch, s, keys)
 
         monkeypatch.setattr(sim._StreamBatch, "admit", watched_admit)
-        got = sim.sample_first_reception(cfg, 1, 60, 4242)
+        got = sim.sample_first_reception(cfg, 1, reps, 4242)
         monkeypatch.undo()
         assert seen & {1, 2, 3}
-        assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, 60, 4242)))
+        assert np.array_equal(bits(got.samples), bits(per_rep_horizons(cfg, 1, reps, 4242)))
 
     @pytest.mark.parametrize("kind", ["recovery", "exp-input", "empirical-input"])
     def test_later_blocks_continue_keyed_streams(self, monkeypatch, kind):
@@ -409,8 +420,9 @@ class TestBatchedKernel:
             want = np.concatenate([np.array([s.next_block() for s in streams])
                                    for _ in range(last + 1)], axis=1)
             before = np.concatenate((np.full((reps, 1), -np.inf), want), axis=1)
-            batch = sim._StreamBatch(seed, gap)
-            every = batch.admit(np.array([k1 for _, k1 in keys], dtype=np.uint64))
+            batch = sim._StreamBatch(seed, gap, reps)
+            every = np.arange(reps)
+            batch.admit(every, np.array([k1 for _, k1 in keys], dtype=np.uint64))
             cols = np.arange(stride - 1, want.shape[1], stride)
             got = np.empty((reps, len(cols)))
             for j, col in enumerate(cols):
